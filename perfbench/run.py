@@ -8,9 +8,9 @@ this directory (into $CARGO_TARGET_DIR, default `.bench_build`), then:
 
 1. sets the workload up (several times where set-up is cheap) and reports
    the median as `setup_s`;
-2. runs timed iterations, each in a fresh process, until `--seconds` have
-   passed (at least two), and reports the medians of the end-to-end
-   metrics;
+2. runs timed iterations, each in a fresh process, for `--seconds` (at
+   least two; no iteration is started that would end past them), and
+   reports the medians of the end-to-end metrics;
 3. with `--trace 1`, runs the traced pass instead of reporting the
    end-to-end metrics, and reports the per-layer metrics.
 
@@ -38,10 +38,11 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SCRATCH = os.path.join(ROOT, ".bench_work")
+# BENCHMARK.json lists exact-sweep and sampled-warm-store; the set-up of
+# the warm store is a whole sampled-cold-store pass, which also runs on its
+# own from the command line. Only the cheap set-ups are repeated.
 WORKLOADS = ("exact-sweep", "sampled-cold-store", "sampled-warm-store")
-# Set-up of the warm store is a whole cold-store pass; the others are
-# cheap enough to repeat.
-SETUP_REPEATS = {"exact-sweep": 5, "sampled-cold-store": 5, "sampled-warm-store": 1}
+SETUP_REPEATS = {"exact-sweep": 9, "sampled-cold-store": 9, "sampled-warm-store": 1}
 MIN_ITERATIONS = 2
 # A run must finish within 180 s; leave room for the traced pass.
 DEADLINE_S = 170.0
@@ -148,17 +149,18 @@ def main():
 def measure(runner, args):
     begin = time.monotonic()
     setups = [runner.step("setup") for _ in range(SETUP_REPEATS[args.workload])]
-    # Past the minimum, stop when the measuring time is up or another
-    # iteration (and the traced pass) could overrun the deadline.
+    # Past the minimum, start another iteration only if it is expected to
+    # end within the measuring time and (with the traced pass) the deadline:
+    # a run measures for `--seconds`, not one iteration more.
     reserve = TRACE_RESERVE_S if args.trace else 0.0
     iterations = []
     loop_start = time.monotonic()
     while True:
         now = time.monotonic()
-        last = iterations[-1]["elapsed_s"] if iterations else 0.0
+        expected = statistics.median(it["elapsed_s"] for it in iterations) if iterations else 0.0
         if len(iterations) >= MIN_ITERATIONS and (
-                now - loop_start >= args.seconds
-                or now - begin + last + reserve > DEADLINE_S):
+                now - loop_start + expected > args.seconds
+                or now - begin + expected + reserve > DEADLINE_S):
             break
         iterations.append(runner.step("iter"))
         iterations[-1]["elapsed_s"] = time.monotonic() - now

@@ -33,8 +33,8 @@ impl Inputs {
     /// default clustering seed. Any other seed keeps the reference kernels
     /// and derives the clustering seed from the seed; with `draw_kernels`
     /// it also draws two of the 12 SPECint kernels and one of the 6 SPECfp
-    /// kernels (the held-out check; see README.md for why the driver's
-    /// runs keep the reference kernels).
+    /// kernels (the held-out check; see README.md for why the command's
+    /// default keeps the reference kernels).
     pub fn from_seed(seed: u64, draw_kernels: bool) -> Inputs {
         let reference = || -> Vec<Workload> {
             REFERENCE_KERNELS
