@@ -40,7 +40,7 @@
 //!    invariant), and
 //! 7. an **experiment-journal** pair over the same warm trace store: a
 //!    journaled pass (fresh `Lab`, fresh journal — every cell committed
-//!    through the WAL) whose wall-clock against the warm-store pass
+//!    as an fsync'd, renamed cell file) whose wall-clock against the warm-store pass
 //!    isolates the journal's write overhead, and a resumed pass (another
 //!    fresh `Lab` over the populated journal) that must replay every cell
 //!    and recompute none (`scripts/perf_gate.py` gates the ≤2% overhead
@@ -140,7 +140,7 @@ fn main() {
     //    state) but a cold *Lab* — the same footing the exact cold pass
     //    below gets, which runs after this pass has warmed the process.
     //    Accuracy is judged against the exact cells of the cold pass.
-    let sampling = SamplingPlan::periodic(config.sample_interval.max(1));
+    let sampling = SamplingPlan::periodic(config.sample_plan.interval());
     let (periodic_detail, periodic_warmup) = (sampling.detail_len(), sampling.warmup_len());
     let sampled_spec = spec.clone().sampling(sampling);
     let process_warmup = Lab::new(LabConfig {
@@ -162,7 +162,7 @@ fn main() {
     //     single-threaded Lab, warm process), but the detailed windows are
     //     the SimPoint representatives — one population-weighted window per
     //     clustered basic-block-vector phase instead of one per interval.
-    let phase_plan = SamplingPlan::phase_aware(config.sample_interval.max(1));
+    let phase_plan = SamplingPlan::phase_aware(config.sample_plan.interval());
     let phase_spec = spec.clone().sampling(phase_plan);
     let phase_lab = Lab::new(LabConfig {
         threads: 1,
@@ -182,7 +182,7 @@ fn main() {
     //     spread lands within 20% of the request.
     let adaptive_target = msp_bench::DEFAULT_SAMPLE_TARGET_STDERR;
     let adaptive_plan = SamplingPlan::adaptive(adaptive_target)
-        .with_interval((config.sample_interval.max(1) / 2).max(1))
+        .with_interval((config.sample_plan.interval() / 2).max(1))
         .with_window(periodic_detail, periodic_warmup);
     let adaptive_spec = spec.clone().sampling(adaptive_plan);
     let adaptive_lab = Lab::new(LabConfig {
@@ -270,8 +270,8 @@ fn main() {
 
     // 7. Experiment-journal pair over the same warm trace store, so the
     //    journaled pass differs from the warm-store pass by exactly the
-    //    journal's write path (fingerprint + cell file + fsync'd WAL
-    //    record per cell). The resumed pass is the crash-recovery payoff:
+    //    journal's write path (fingerprint + fsync'd cell file + rename +
+    //    directory fsync per cell). The resumed pass is the crash-recovery payoff:
     //    a fresh Lab over the populated journal replays every cell and
     //    performs zero simulations and zero functional executions.
     let journal_dir =
@@ -444,7 +444,7 @@ fn main() {
         "", warm_store.wall_s
     );
     println!(
-        "table1_sweep/journaled{:30} time: [{:.3} s]  {journal_overhead_pct:+.2}% vs warm store (WAL + cell files)",
+        "table1_sweep/journaled{:30} time: [{:.3} s]  {journal_overhead_pct:+.2}% vs warm store (cell files)",
         "", journaled.wall_s
     );
     println!(
@@ -554,7 +554,7 @@ fn main() {
     "resumed_speedup_vs_journaled": {r_speedup:.2},
     "resumed_replayed_cells": {r_replayed},
     "resumed_recomputed_cells": {r_recomputed},
-    "note": "journaled = fresh Lab + fresh journal over the warm trace store (overhead isolates the per-cell WAL/cell-file write path); resumed = another fresh Lab over the populated journal, which must replay every cell with zero simulations and zero functional executions"
+    "note": "journaled = fresh Lab + fresh journal over the warm trace store (overhead isolates the per-cell cell-file commit path); resumed = another fresh Lab over the populated journal, which must replay every cell with zero simulations and zero functional executions"
   }},
   "speedup_vs_seed": {seed_speedup_json},
   "speedup_vs_pre_trace_layer": {vs_pre_json},

@@ -39,10 +39,11 @@
 //! ```
 //!
 //! With `MSP_BENCH_JOURNAL_DIR` set and `--resume` passed, every finished
-//! cell is durably journaled (fsync'd WAL + content-addressed result
-//! files) and a re-run after a crash — SIGKILL, OOM, CI timeout —
-//! **replays** the journaled cells bit-identically and recomputes only the
-//! rest. `msp-lab batch <manifest>` runs a whole experiment list that way,
+//! cell is durably journaled (one content-addressed, checksummed result
+//! file per cell, committed by an fsync'd atomic rename) and a re-run
+//! after a crash — SIGKILL, OOM, CI timeout — **replays** the journaled
+//! cells bit-identically and recomputes only the rest. `msp-lab batch
+//! <manifest>` runs a whole experiment list that way,
 //! incrementally:
 //!
 //! ```text
@@ -72,9 +73,7 @@
 //! four hand-edited files.
 
 use msp_bench::store::{demo_store, trace_ls_report};
-use msp_bench::{
-    Lab, LabConfig, OutputFormat, ReportKind, SamplePlanKind, SamplingPlan, TraceStore,
-};
+use msp_bench::{Lab, LabConfig, OutputFormat, ReportKind, SamplingPlan, TraceStore};
 use msp_workloads::Variant;
 use std::process::ExitCode;
 
@@ -168,8 +167,8 @@ enum Invocation {
         kind: ReportKind,
         format: OutputFormat,
         sample: bool,
-        plan: Option<SamplePlanKind>,
-        target_stderr: Option<f64>,
+        plan: Option<&'static str>,
+        target_stderr: Option<String>,
         resume: bool,
         verbose: bool,
     },
@@ -222,22 +221,19 @@ fn parse_format(value: &str) -> Result<OutputFormat, String> {
         .ok_or_else(|| format!("unknown format {value:?} (text, json or csv)"))
 }
 
-fn parse_plan_kind(value: &str) -> Result<SamplePlanKind, String> {
-    match value {
-        "periodic" => Ok(SamplePlanKind::Periodic),
-        "phases" => Ok(SamplePlanKind::PhaseAware),
-        "adaptive" => Ok(SamplePlanKind::Adaptive),
-        other => Err(format!(
-            "unknown sample plan {other:?} (periodic, phases or adaptive)"
-        )),
-    }
+fn parse_plan_kind(value: &str) -> Result<&'static str, String> {
+    ["periodic", "phases", "adaptive"]
+        .into_iter()
+        .find(|kind| *kind == value)
+        .ok_or_else(|| format!("unknown sample plan {value:?} (periodic, phases or adaptive)"))
 }
 
-fn parse_target_stderr(value: &str) -> Result<f64, String> {
+fn parse_target_stderr(value: &str) -> Result<String, String> {
     value
         .parse::<f64>()
         .ok()
         .filter(|t| t.is_finite() && *t > 0.0 && *t < 1.0)
+        .map(|_| value.to_string())
         .ok_or_else(|| {
             format!("--sample-target-stderr {value:?} must be a number strictly between 0 and 1")
         })
@@ -411,8 +407,8 @@ fn parse_args(args: &[String]) -> Result<Invocation, String> {
     let mut kind: Option<ReportKind> = None;
     let mut format = OutputFormat::Text;
     let mut sample = false;
-    let mut plan: Option<SamplePlanKind> = None;
-    let mut target_stderr: Option<f64> = None;
+    let mut plan: Option<&'static str> = None;
+    let mut target_stderr: Option<String> = None;
     let mut bless = false;
     let mut resume = false;
     let mut verbose = false;
@@ -507,22 +503,20 @@ fn parse_args(args: &[String]) -> Result<Invocation, String> {
     })
 }
 
-/// Resolves the effective `SamplingPlan` for one `--sample` run: the session
-/// configuration (environment) provides the defaults, the command-line flags
-/// override them.
+/// Resolves the effective `SamplingPlan` for one run (`None` without
+/// `--sample`): the environment provides the defaults, the command-line
+/// flags override them.
 fn resolve_plan(
-    config: &LabConfig,
-    plan: Option<SamplePlanKind>,
-    target_stderr: Option<f64>,
-) -> SamplingPlan {
-    let mut config = config.clone();
-    if let Some(plan) = plan {
-        config.sample_plan = plan;
+    sample: bool,
+    plan: Option<&str>,
+    target_stderr: Option<&str>,
+) -> Result<Option<SamplingPlan>, String> {
+    if !sample {
+        return Ok(None);
     }
-    if let Some(target) = target_stderr {
-        config.sample_target_stderr = target;
-    }
-    config.sampling_plan()
+    LabConfig::sample_plan_from_env(plan, target_stderr)
+        .map(Some)
+        .map_err(|e| e.to_string())
 }
 
 /// Regenerates every golden of `kind` in place. The golden directory is
@@ -778,8 +772,8 @@ struct BatchEntry {
     kind: ReportKind,
     format: OutputFormat,
     sample: bool,
-    plan: Option<SamplePlanKind>,
-    target_stderr: Option<f64>,
+    plan: Option<&'static str>,
+    target_stderr: Option<String>,
 }
 
 /// Parses a batch manifest: one experiment per line, `#` comments and
@@ -844,9 +838,7 @@ fn run_batch(manifest: &str, verbose: bool) -> Result<(), String> {
     for (index, entry) in entries.iter().enumerate() {
         let replayed_before = lab.journal_replayed_count();
         let recorded_before = lab.journal_recorded_count();
-        let sampling = entry
-            .sample
-            .then(|| resolve_plan(lab.config(), entry.plan, entry.target_stderr));
+        let sampling = resolve_plan(entry.sample, entry.plan, entry.target_stderr.as_deref())?;
         print!(
             "{}",
             entry
@@ -944,7 +936,13 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let sampling = sample.then(|| resolve_plan(lab.config(), plan, target_stderr));
+            let sampling = match resolve_plan(sample, plan, target_stderr.as_deref()) {
+                Ok(sampling) => sampling,
+                Err(error) => {
+                    eprintln!("msp-lab: {error}");
+                    return ExitCode::FAILURE;
+                }
+            };
             print!("{}", kind.build_sampled(&lab, sampling).render(format));
             if verbose {
                 eprintln!(

@@ -1,8 +1,7 @@
 //! The crash-resumable experiment journal.
 //!
 //! An [`ExperimentJournal`] makes `Lab::run` durable: every finished
-//! [`Cell`] is persisted as one content-addressed result file plus one
-//! fsync'd record in an append-only write-ahead log (WAL), keyed by a
+//! [`Cell`] is persisted as one content-addressed result file, keyed by a
 //! [`cell_fingerprint`] covering everything that determines the cell's
 //! statistics — workload identity, effective machine configuration,
 //! instruction budget, sampling plan and the journal format version. A
@@ -12,41 +11,43 @@
 //!
 //! # On-disk layout
 //!
-//! The journal directory (`MSP_BENCH_JOURNAL_DIR`) holds:
+//! The journal directory (`MSP_BENCH_JOURNAL_DIR`) holds one file per
+//! finished cell:
 //!
 //! ```text
-//! journal.wal              header (magic "MSPJRNLW", version u32) then
-//!                          records: [payload_len u32][payload]
-//!                          [FNV-1a(payload) u64]; payload v1 = cell
-//!                          fingerprint u64. All little-endian.
 //! {fingerprint:016x}.mspcell
 //!                          magic "MSPCELLF", version u32, fingerprint u64,
 //!                          encoded Cell, trailing FNV-1a checksum over
-//!                          every preceding byte.
+//!                          every preceding byte. All little-endian.
 //! ```
 //!
-//! # Commit discipline (the murodb-style WAL rules)
+//! Any other file is ignored, including the write-ahead log that older
+//! builds kept beside the cell files.
 //!
-//! A cell commits in two ordered durable steps: the result file is written
-//! first (temp + fsync + atomic rename), **then** the WAL record is
-//! appended and fsync'd. The WAL record is the commit point — replay
-//! trusts only fingerprints whose record checksums verify, and truncates
-//! the WAL at the first torn or corrupt record, never reading past it. A
-//! crash between the two steps leaves an orphaned result file that is
-//! simply overwritten when the cell is recomputed; a crash mid-result
-//! leaves a `.tmp` file swept on the next open. Every crash point is
-//! therefore idempotent: replay or recompute, nothing in between — proved
-//! by the deterministic kill-point harness below (`MSP_BENCH_KILL_POINT`)
-//! and the kill-matrix integration test.
+//! # Commit discipline
+//!
+//! A cell commits through the crate's one commit protocol (`BlobDir`): the
+//! result file is written to a temp file and fsync'd, renamed into place —
+//! **the rename is the commit point** — and the directory is fsync'd. A
+//! cell is one idempotent, self-verifying blob, so nothing else is needed:
+//! [`ExperimentJournal::load_cell`] reads `{fingerprint:016x}.mspcell`
+//! directly, a missing file is a cell still to compute, and a file that
+//! fails verification is deleted and recomputed. A crash before the rename
+//! leaves a `.tmp-*` file swept on the next open; a crash after it leaves a
+//! committed cell. Every crash point is therefore idempotent: replay or
+//! recompute, nothing in between — proved by the deterministic kill-point
+//! harness below (`MSP_BENCH_KILL_POINT`) and the kill-matrix integration
+//! test.
 //!
 //! # Degradation policy
 //!
 //! Journal I/O never fails a sweep. An unopenable directory, a write
-//! error, a full disk: one warning on stderr, then the journal continues
-//! in-memory only (cells computed this session are still deduplicated, but
-//! nothing persists). A corrupt result file is deleted and its cell
-//! recomputed, exactly like a corrupt trace-store file.
+//! error, a full disk: one warning on stderr, then the journal stops
+//! recording (the sweep still runs, nothing more persists). A corrupt
+//! result file is deleted and its cell recomputed, exactly like a corrupt
+//! trace-store file.
 
+use crate::blob::BlobDir;
 use crate::energy::SampledEnergy;
 use crate::experiment::Cell;
 use crate::{SampledStats, SamplingPlan};
@@ -58,32 +59,22 @@ use msp_pipeline::{
     MemoryConfig, ResourceConfig, SimConfig, SimResult, SimStats, StallBreakdown,
 };
 use msp_workloads::Variant;
-use std::collections::{HashMap, HashSet};
-use std::fmt;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::collections::HashMap;
+use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-/// Version written into (and required of) the WAL header, every cell file,
-/// and the [`cell_fingerprint`] preimage — so a format change invalidates
-/// every old record instead of misdecoding it.
+/// Version written into (and required of) every cell file and the
+/// [`cell_fingerprint`] preimage — so a format change invalidates every
+/// old cell instead of misdecoding it.
 pub const JOURNAL_FORMAT_VERSION: u32 = 1;
-
-/// File name of the write-ahead log inside the journal directory.
-pub const WAL_FILE_NAME: &str = "journal.wal";
 
 /// File extension of content-addressed cell result files.
 pub const CELL_FILE_EXT: &str = "mspcell";
 
-const WAL_MAGIC: &[u8; 8] = b"MSPJRNLW";
 const CELL_MAGIC: &[u8; 8] = b"MSPCELLF";
 const FINGERPRINT_MAGIC: &[u8; 8] = b"MSPJRNFP";
-/// WAL header: magic + format version.
-const WAL_HEADER_LEN: usize = 12;
-/// WAL payload v1 is exactly one cell fingerprint.
-const WAL_PAYLOAD_LEN: usize = 8;
 
 // ------------------------------------------------------- fault injection
 
@@ -96,57 +87,33 @@ const WAL_PAYLOAD_LEN: usize = 8;
 pub const KILL_POINT_ENV: &str = "MSP_BENCH_KILL_POINT";
 
 /// Crash site: the cell result temp file is written and fsync'd, but not
-/// yet renamed into place (leaves a `.tmp` orphan).
+/// yet renamed into place (leaves a `.tmp` orphan; the cell is not
+/// committed).
 pub const KILL_CELL_TEMP_WRITTEN: &str = "cell-temp-written";
-/// Crash site: the cell result file is renamed into place, but its WAL
-/// record is not yet appended (leaves an un-journaled orphan result).
+/// Crash site: the cell result file is renamed into place and the
+/// directory fsync'd (the cell is committed).
 pub const KILL_CELL_RENAMED: &str = "cell-renamed";
-/// Crash site: half of the WAL record is written and fsync'd, then the
-/// process dies — the torn-tail case replay must truncate.
-pub const KILL_WAL_TORN: &str = "wal-torn";
-/// Crash site: the WAL record is fully appended and fsync'd (the cell is
-/// committed; everything after is bookkeeping).
-pub const KILL_WAL_APPENDED: &str = "wal-appended";
 
 /// Every injectable crash site, in commit order.
-pub const KILL_POINTS: [&str; 4] = [
-    KILL_CELL_TEMP_WRITTEN,
-    KILL_CELL_RENAMED,
-    KILL_WAL_TORN,
-    KILL_WAL_APPENDED,
-];
+pub const KILL_POINTS: [&str; 2] = [KILL_CELL_TEMP_WRITTEN, KILL_CELL_RENAMED];
 
 static KILL_SPEC: OnceLock<Option<(String, u64)>> = OnceLock::new();
 static KILL_HITS: AtomicU64 = AtomicU64::new(0);
 
-fn kill_spec() -> Option<&'static (String, u64)> {
-    KILL_SPEC
-        .get_or_init(|| {
-            let raw = std::env::var(KILL_POINT_ENV).ok()?;
-            let (site, nth) = match raw.split_once(':') {
-                Some((site, n)) => (site.to_string(), n.trim().parse().unwrap_or(1)),
-                None => (raw, 1),
-            };
-            Some((site, nth.max(1)))
-        })
-        .as_ref()
-}
-
-/// True when this call is the configured occurrence of `site` — the caller
-/// is about to die (used by the torn-write site, which must corrupt the WAL
-/// itself before dying).
-fn kill_armed(site: &str) -> bool {
-    match kill_spec() {
-        Some((armed, nth)) if armed == site => {
-            KILL_HITS.fetch_add(1, Ordering::Relaxed) + 1 == *nth
-        }
-        _ => false,
-    }
-}
-
+/// Dies if this call is the configured occurrence of `site`.
 fn maybe_kill(site: &str) {
-    if kill_armed(site) {
-        die();
+    let spec = KILL_SPEC.get_or_init(|| {
+        let raw = std::env::var(KILL_POINT_ENV).ok()?;
+        let (site, nth) = match raw.split_once(':') {
+            Some((site, n)) => (site.to_string(), n.trim().parse().unwrap_or(1)),
+            None => (raw, 1),
+        };
+        Some((site, nth.max(1)))
+    });
+    if let Some((armed, nth)) = spec {
+        if armed == site && KILL_HITS.fetch_add(1, Ordering::Relaxed) + 1 == *nth {
+            die();
+        }
     }
 }
 
@@ -243,124 +210,44 @@ pub fn cell_fingerprint(
     fnv1a(FNV_OFFSET, &buf)
 }
 
-// ------------------------------------------------------------ WAL format
-
-fn wal_header() -> Vec<u8> {
-    let mut header = Vec::with_capacity(WAL_HEADER_LEN);
-    header.extend_from_slice(WAL_MAGIC);
-    header.extend_from_slice(&JOURNAL_FORMAT_VERSION.to_le_bytes());
-    header
-}
-
-/// The encoded WAL record of one committed cell fingerprint (exposed for
-/// the torn-tail tests, which build and mutilate records byte-level).
-pub fn wal_record(fingerprint: u64) -> Vec<u8> {
-    let payload = fingerprint.to_le_bytes();
-    let mut record = Vec::with_capacity(4 + WAL_PAYLOAD_LEN + 8);
-    record.extend_from_slice(&(WAL_PAYLOAD_LEN as u32).to_le_bytes());
-    record.extend_from_slice(&payload);
-    record.extend_from_slice(&fnv1a(FNV_OFFSET, &payload).to_le_bytes());
-    record
-}
-
-/// Replays WAL bytes: the set of committed fingerprints plus the byte
-/// length of the valid prefix. Reading stops — permanently — at the first
-/// structural problem: short header, wrong magic or version, torn record,
-/// bad checksum, unknown payload length. Nothing past a bad record is ever
-/// trusted, even if later bytes happen to look well-formed.
-fn replay_wal(bytes: &[u8]) -> (HashSet<u64>, u64) {
-    let mut known = HashSet::new();
-    if bytes.len() < WAL_HEADER_LEN
-        || &bytes[..8] != WAL_MAGIC
-        || bytes[8..WAL_HEADER_LEN] != JOURNAL_FORMAT_VERSION.to_le_bytes()
-    {
-        return (known, 0);
-    }
-    let mut pos = WAL_HEADER_LEN;
-    while let Some(len_bytes) = bytes.get(pos..pos + 4) {
-        let payload_len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-        if payload_len != WAL_PAYLOAD_LEN {
-            break;
-        }
-        let record_end = pos + 4 + payload_len + 8;
-        let Some(rest) = bytes.get(pos + 4..record_end) else {
-            break;
-        };
-        let (payload, checksum) = rest.split_at(payload_len);
-        if fnv1a(FNV_OFFSET, payload) != u64::from_le_bytes(checksum.try_into().expect("8 bytes")) {
-            break;
-        }
-        known.insert(u64::from_le_bytes(payload.try_into().expect("8 bytes")));
-        pos = record_end;
-    }
-    (known, pos as u64)
-}
-
 // ------------------------------------------------------------ the journal
-
-/// Distinguishes temp files of concurrent writers in the journal directory.
-static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// A crash-resumable journal of finished experiment cells (see the module
 /// docs for the format, commit discipline and degradation policy). All
-/// methods take `&self`; the state is internally synchronised, so one
-/// journal serves every worker thread of a sweep.
+/// methods take `&self` and the state is atomic, so one journal serves
+/// every worker thread of a sweep.
+#[derive(Debug)]
 pub struct ExperimentJournal {
     dir: PathBuf,
-    inner: Mutex<Inner>,
-}
-
-struct Inner {
-    wal: Option<File>,
-    known: HashSet<u64>,
-    replayed: u64,
-    recorded: u64,
-    degraded: bool,
-    warned: bool,
-}
-
-impl fmt::Debug for ExperimentJournal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.lock();
-        f.debug_struct("ExperimentJournal")
-            .field("dir", &self.dir)
-            .field("known", &inner.known.len())
-            .field("replayed", &inner.replayed)
-            .field("recorded", &inner.recorded)
-            .field("degraded", &inner.degraded)
-            .finish()
-    }
+    /// `None` when the directory could not be opened.
+    blobs: Option<BlobDir>,
+    replayed: AtomicU64,
+    recorded: AtomicU64,
+    degraded: AtomicBool,
 }
 
 impl ExperimentJournal {
-    /// Opens (creating if necessary) the journal directory, sweeps stale
-    /// temp files, and replays the WAL — truncating any torn tail. Never
-    /// fails: an unopenable or unreadable journal warns on stderr and
-    /// degrades to in-memory operation (the sweep still runs, nothing
+    /// Opens (creating if necessary) the journal directory and sweeps stale
+    /// temp files. Never fails: an unopenable directory warns on stderr and
+    /// the journal records nothing (the sweep still runs, nothing
     /// persists).
     pub fn open(dir: impl Into<PathBuf>) -> ExperimentJournal {
         let dir = dir.into();
-        let (wal, known, degraded) = match open_wal(&dir) {
-            Ok((wal, known)) => (Some(wal), known, false),
-            Err(e) => {
+        let blobs = BlobDir::open(&dir)
+            .map_err(|e| {
                 eprintln!(
                     "msp-bench: cannot open experiment journal at {}: {e}; \
                      continuing without crash resumption",
                     dir.display()
                 );
-                (None, HashSet::new(), true)
-            }
-        };
+            })
+            .ok();
         ExperimentJournal {
+            degraded: AtomicBool::new(blobs.is_none()),
             dir,
-            inner: Mutex::new(Inner {
-                wal,
-                known,
-                replayed: 0,
-                recorded: 0,
-                degraded,
-                warned: degraded,
-            }),
+            blobs,
+            replayed: AtomicU64::new(0),
+            recorded: AtomicU64::new(0),
         }
     }
 
@@ -369,185 +256,77 @@ impl ExperimentJournal {
         &self.dir
     }
 
-    /// The write-ahead-log path inside the journal directory.
-    pub fn wal_path(&self) -> PathBuf {
-        self.dir.join(WAL_FILE_NAME)
-    }
-
     /// The result-file path of a cell fingerprint.
     pub fn cell_path(&self, fingerprint: u64) -> PathBuf {
         self.dir.join(format!("{fingerprint:016x}.{CELL_FILE_EXT}"))
     }
 
-    /// Whether `fingerprint` has a committed WAL record.
-    pub fn contains(&self, fingerprint: u64) -> bool {
-        self.lock().known.contains(&fingerprint)
-    }
-
-    /// Number of committed fingerprints currently known.
-    pub fn known_count(&self) -> usize {
-        self.lock().known.len()
-    }
-
     /// Cells rehydrated from the journal by this session (each one a
     /// simulation *not* re-run).
     pub fn replayed_count(&self) -> u64 {
-        self.lock().replayed
+        self.replayed.load(Ordering::Relaxed)
     }
 
     /// Cells durably recorded by this session.
     pub fn recorded_count(&self) -> u64 {
-        self.lock().recorded
+        self.recorded.load(Ordering::Relaxed)
     }
 
-    /// Whether the journal has fallen back to in-memory operation after an
-    /// I/O failure (nothing persists, but the session still deduplicates).
+    /// Whether the journal has stopped recording after an I/O failure.
     pub fn is_degraded(&self) -> bool {
-        self.lock().degraded
+        self.degraded.load(Ordering::Relaxed)
     }
 
     /// Rehydrates a journaled cell, bit-identical to the run that recorded
-    /// it. `None` means the cell must be computed: it was never journaled,
-    /// or its result file is missing/corrupt — in which case the file is
-    /// deleted, the fingerprint forgotten, and the recomputation will
-    /// re-journal it.
+    /// it. `None` means the cell must be computed: its result file is
+    /// missing, or fails verification — in which case it is deleted and
+    /// the recomputation re-journals it.
     pub fn load_cell(&self, fingerprint: u64) -> Option<Cell> {
-        let mut inner = self.lock();
-        if !inner.known.contains(&fingerprint) {
-            return None;
-        }
-        let path = self.cell_path(fingerprint);
-        let decoded = fs::read(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| decode_cell_file(fingerprint, &bytes));
-        match decoded {
-            Ok(cell) => {
-                inner.replayed += 1;
-                Some(cell)
-            }
-            Err(e) => {
-                eprintln!(
-                    "msp-bench: discarding unreadable journaled cell {}: {e}",
-                    path.display()
-                );
-                let _ = fs::remove_file(&path);
-                inner.known.remove(&fingerprint);
-                None
-            }
-        }
+        let cell = self
+            .blobs
+            .as_ref()?
+            .read_verified(&self.cell_path(fingerprint), |path| {
+                fs::read(path)
+                    .map_err(|e| e.to_string())
+                    .and_then(|bytes| decode_cell_file(fingerprint, &bytes))
+            })?;
+        self.replayed.fetch_add(1, Ordering::Relaxed);
+        Some(cell)
     }
 
-    /// Durably records a finished cell: result file first (temp + fsync +
-    /// rename), WAL record second (append + fsync; the commit point). A
-    /// fingerprint already committed is a no-op, so recording is idempotent
-    /// across crash/resume. I/O failure warns once and degrades to
-    /// in-memory deduplication — it never fails the sweep.
+    /// Durably records a finished cell (the `BlobDir` commit; the rename
+    /// is the commit point). A fingerprint whose file already exists is a
+    /// no-op, so recording is idempotent across crash/resume. I/O failure
+    /// warns once and stops recording — it never fails the sweep.
     pub fn record_cell(&self, fingerprint: u64, cell: &Cell) {
-        let mut inner = self.lock();
-        if inner.known.contains(&fingerprint) {
+        let Some(blobs) = &self.blobs else {
+            return;
+        };
+        let path = self.cell_path(fingerprint);
+        if self.is_degraded() || path.exists() {
             return;
         }
-        if !inner.degraded {
-            match record_durable(&self.dir, inner.wal.as_mut(), fingerprint, cell) {
-                Ok(()) => inner.recorded += 1,
-                Err(e) => {
-                    if !inner.warned {
-                        eprintln!(
-                            "msp-bench: experiment journal at {} failed ({e}); \
-                             continuing without crash resumption",
-                            self.dir.display()
-                        );
-                        inner.warned = true;
-                    }
-                    inner.degraded = true;
-                    inner.wal = None;
+        let bytes = encode_cell_file(fingerprint, cell);
+        match blobs.commit(
+            &path,
+            |temp| fs::write(temp, &bytes),
+            || maybe_kill(KILL_CELL_TEMP_WRITTEN),
+        ) {
+            Ok(()) => {
+                self.recorded.fetch_add(1, Ordering::Relaxed);
+                maybe_kill(KILL_CELL_RENAMED);
+            }
+            Err(e) => {
+                if !self.degraded.swap(true, Ordering::Relaxed) {
+                    eprintln!(
+                        "msp-bench: experiment journal at {} failed ({e}); \
+                         continuing without crash resumption",
+                        self.dir.display()
+                    );
                 }
             }
         }
-        inner.known.insert(fingerprint);
     }
-
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().expect("experiment journal poisoned")
-    }
-}
-
-fn open_wal(dir: &Path) -> io::Result<(File, HashSet<u64>)> {
-    fs::create_dir_all(dir)?;
-    crate::store::sweep_stale_temps(dir);
-    let path = dir.join(WAL_FILE_NAME);
-    let mut file = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(&path)?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    let (known, valid_len) = replay_wal(&bytes);
-    if (valid_len as usize) < bytes.len() {
-        eprintln!(
-            "msp-bench: truncating torn experiment journal tail ({} of {} bytes valid) in {}",
-            valid_len,
-            bytes.len(),
-            path.display()
-        );
-        file.set_len(valid_len)?;
-    }
-    if valid_len < WAL_HEADER_LEN as u64 {
-        // Empty or header-corrupt file: start a fresh log.
-        file.set_len(0)?;
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(&wal_header())?;
-        file.sync_data()?;
-    }
-    file.seek(SeekFrom::End(0))?;
-    Ok((file, known))
-}
-
-fn record_durable(
-    dir: &Path,
-    wal: Option<&mut File>,
-    fingerprint: u64,
-    cell: &Cell,
-) -> io::Result<()> {
-    let Some(wal) = wal else {
-        return Err(io::Error::other("journal WAL unavailable"));
-    };
-    let bytes = encode_cell_file(fingerprint, cell);
-    let temp = dir.join(format!(
-        ".tmp-{}-{}",
-        std::process::id(),
-        TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let write_temp = (|| -> io::Result<()> {
-        let mut file = File::create(&temp)?;
-        file.write_all(&bytes)?;
-        file.sync_data()
-    })();
-    if let Err(e) = write_temp {
-        let _ = fs::remove_file(&temp);
-        return Err(e);
-    }
-    maybe_kill(KILL_CELL_TEMP_WRITTEN);
-    let path = dir.join(format!("{fingerprint:016x}.{CELL_FILE_EXT}"));
-    if let Err(e) = fs::rename(&temp, &path) {
-        let _ = fs::remove_file(&temp);
-        return Err(e);
-    }
-    maybe_kill(KILL_CELL_RENAMED);
-    let record = wal_record(fingerprint);
-    if kill_armed(KILL_WAL_TORN) {
-        // The injected torn write: half a record, made durable, then death
-        // — the exact crash the replay truncation rule exists for.
-        let _ = wal.write_all(&record[..record.len() / 2]);
-        let _ = wal.sync_data();
-        die();
-    }
-    wal.write_all(&record)?;
-    wal.sync_data()?;
-    maybe_kill(KILL_WAL_APPENDED);
-    Ok(())
 }
 
 // -------------------------------------------------------- cell file codec
@@ -1204,13 +983,7 @@ mod tests {
     use super::*;
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "msp-journal-{tag}-{}-{}",
-            std::process::id(),
-            TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        dir
+        crate::blob::test_dir(&format!("journal-{tag}"))
     }
 
     fn sample_config() -> SimConfig {
@@ -1499,7 +1272,7 @@ mod tests {
         {
             let journal = ExperimentJournal::open(&dir);
             assert!(!journal.is_degraded());
-            assert!(!journal.contains(fp));
+            assert!(journal.load_cell(fp).is_none());
             journal.record_cell(fp, &cell);
             assert_eq!(journal.recorded_count(), 1);
             // Recording the same fingerprint again is a no-op.
@@ -1507,73 +1280,9 @@ mod tests {
             assert_eq!(journal.recorded_count(), 1);
         }
         let journal = ExperimentJournal::open(&dir);
-        assert!(journal.contains(fp));
-        assert_eq!(journal.known_count(), 1);
         let replayed = journal.load_cell(fp).expect("journaled cell replays");
         assert_cells_bit_identical(&cell, &replayed);
         assert_eq!(journal.replayed_count(), 1);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn torn_wal_tail_is_truncated_and_never_trusted() {
-        let dir = temp_dir("torn");
-        fs::create_dir_all(&dir).unwrap();
-        let wal = dir.join(WAL_FILE_NAME);
-        let mut bytes = wal_header();
-        bytes.extend_from_slice(&wal_record(0x1111));
-        bytes.extend_from_slice(&wal_record(0x2222));
-        let valid_len = bytes.len() as u64;
-        // A torn third record, then a byte-wise *valid* fourth record after
-        // the tear: replay must keep 2 records, drop the tear, and never
-        // resynchronise onto the record past it.
-        let torn = wal_record(0x3333);
-        bytes.extend_from_slice(&torn[..torn.len() / 2]);
-        bytes.extend_from_slice(&wal_record(0x4444));
-        fs::write(&wal, &bytes).unwrap();
-        let journal = ExperimentJournal::open(&dir);
-        assert!(journal.contains(0x1111));
-        assert!(journal.contains(0x2222));
-        assert!(!journal.contains(0x3333));
-        assert!(!journal.contains(0x4444), "no resync past a torn record");
-        assert_eq!(fs::metadata(&wal).unwrap().len(), valid_len);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_wal_record_truncates_from_the_corruption() {
-        let dir = temp_dir("corrupt-wal");
-        fs::create_dir_all(&dir).unwrap();
-        let wal = dir.join(WAL_FILE_NAME);
-        let mut bytes = wal_header();
-        bytes.extend_from_slice(&wal_record(0xaaaa));
-        let valid_len = bytes.len() as u64;
-        let mut bad = wal_record(0xbbbb);
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0xff;
-        bytes.extend_from_slice(&bad);
-        fs::write(&wal, &bytes).unwrap();
-        let journal = ExperimentJournal::open(&dir);
-        assert!(journal.contains(0xaaaa));
-        assert!(!journal.contains(0xbbbb));
-        assert_eq!(fs::metadata(&wal).unwrap().len(), valid_len);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn header_corruption_restarts_the_log() {
-        let dir = temp_dir("header");
-        fs::create_dir_all(&dir).unwrap();
-        let wal = dir.join(WAL_FILE_NAME);
-        fs::write(&wal, b"NOTAJRNL-garbage-garbage").unwrap();
-        let journal = ExperimentJournal::open(&dir);
-        assert!(!journal.is_degraded());
-        assert_eq!(journal.known_count(), 0);
-        assert_eq!(
-            fs::read(&wal).unwrap(),
-            wal_header(),
-            "unrecognisable log restarts fresh"
-        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1587,7 +1296,6 @@ mod tests {
         assert!(journal.is_degraded());
         let cell = sample_cell();
         journal.record_cell(0x77, &cell);
-        assert!(journal.contains(0x77), "session-local dedup still works");
         assert_eq!(journal.recorded_count(), 0, "nothing durably recorded");
         assert!(journal.load_cell(0x77).is_none());
         fs::remove_file(&dir).unwrap();
@@ -1601,13 +1309,9 @@ mod tests {
         journal.record_cell(0xabc, &cell);
         fs::remove_file(journal.cell_path(0xabc)).unwrap();
         let reopened = ExperimentJournal::open(&dir);
-        assert!(reopened.contains(0xabc), "WAL still lists it");
         assert!(reopened.load_cell(0xabc).is_none(), "file is gone");
-        assert!(
-            !reopened.contains(0xabc),
-            "fingerprint forgotten so the cell recomputes and re-records"
-        );
         reopened.record_cell(0xabc, &cell);
+        assert_eq!(reopened.recorded_count(), 1, "the cell re-records");
         assert!(reopened.load_cell(0xabc).is_some());
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -7,10 +7,12 @@
 //! # Configuration
 //!
 //! A [`LabConfig`] is plain data with a [`Default`]. The environment is read
-//! in exactly one place, [`LabConfig::from_env`], and **strictly**: an
+//! only by [`LabConfig::from_env`] (and [`LabConfig::sample_plan_from_env`],
+//! its `--sample` slice), and **strictly**: an
 //! unparseable (or zero) `MSP_BENCH_INSTRUCTIONS`, `MSP_BENCH_THREADS`,
 //! `MSP_BENCH_TRACE_CACHE_BYTES` or `MSP_BENCH_SAMPLE_INTERVAL` is a
-//! [`LabConfigError`], never a silent fall-back to the default.
+//! [`LabConfigError`], never a silent fall-back to the default. The three
+//! `MSP_BENCH_SAMPLE_*` knobs together build one [`SamplingPlan`].
 //!
 //! # The two-tier trace cache
 //!
@@ -51,7 +53,7 @@ use crate::sampling::{adaptive_window_order, cluster_phases};
 use crate::store::TraceStore;
 use crate::{parallel_map, SampledStats, SamplingPlan};
 use msp_branch::PredictorKind;
-use msp_isa::{BbvAccumulator, BbvSignature, ExecutedInst, Program, Trace, TraceReader};
+use msp_isa::{BbvSignature, ExecutedInst, Trace, TraceReader};
 use msp_pipeline::{
     MemoryConfig, SimConfig, SimResult, SimStats, Simulator, TraceSource, WarmState,
 };
@@ -103,19 +105,11 @@ pub struct LabConfig {
     /// [`DEFAULT_TRACE_CACHE_BYTES`]); least-recently-used traces are
     /// evicted above it.
     pub trace_cache_bytes: usize,
-    /// Sampling interval used when a caller asks for sampled execution
-    /// without an explicit [`SamplingPlan`] (the `msp-lab --sample` flag;
-    /// default [`DEFAULT_SAMPLE_INTERVAL`]). Experiments attach their own
-    /// plan with [`Experiment::sampling`].
-    pub sample_interval: u64,
-    /// Which [`SamplingPlan`] variant flag-driven `--sample` runs build
-    /// from [`LabConfig::sampling_plan`] (default
-    /// [`SamplePlanKind::Periodic`]).
-    pub sample_plan: SamplePlanKind,
-    /// Stopping target for [`SamplePlanKind::Adaptive`] `--sample` runs
-    /// (default [`DEFAULT_SAMPLE_TARGET_STDERR`]); strictly between 0
-    /// and 1. Ignored by the other plan kinds.
-    pub sample_target_stderr: f64,
+    /// Sampling plan used when a caller asks for sampled execution without
+    /// an explicit one (the `msp-lab --sample` flag; default
+    /// [`SamplingPlan::periodic`] at [`DEFAULT_SAMPLE_INTERVAL`]).
+    /// Experiments attach their own plan with [`Experiment::sampling`].
+    pub sample_plan: SamplingPlan,
     /// Directory of the persistent on-disk trace store (default `None` =
     /// memory tier only). Shared across processes; see [`TraceStore`].
     pub trace_dir: Option<PathBuf>,
@@ -138,9 +132,7 @@ impl Default for LabConfig {
             instructions: DEFAULT_INSTRUCTIONS,
             threads: default_threads(),
             trace_cache_bytes: DEFAULT_TRACE_CACHE_BYTES,
-            sample_interval: DEFAULT_SAMPLE_INTERVAL,
-            sample_plan: SamplePlanKind::Periodic,
-            sample_target_stderr: DEFAULT_SAMPLE_TARGET_STDERR,
+            sample_plan: SamplingPlan::periodic(DEFAULT_SAMPLE_INTERVAL),
             trace_dir: None,
             trace_store_bytes: crate::store::DEFAULT_TRACE_STORE_BYTES,
             journal_dir: None,
@@ -152,32 +144,6 @@ fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Which [`SamplingPlan`] variant a flag-driven `--sample` run uses (the
-/// `MSP_BENCH_SAMPLE_PLAN` / `--sample-plan` knob). Experiments built in
-/// code attach a full plan directly with [`Experiment::sampling`]; this
-/// kind only parameterises [`LabConfig::sampling_plan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SamplePlanKind {
-    /// [`SamplingPlan::periodic`] at [`LabConfig::sample_interval`].
-    Periodic,
-    /// [`SamplingPlan::phase_aware`] at [`LabConfig::sample_interval`].
-    PhaseAware,
-    /// [`SamplingPlan::adaptive`] at [`LabConfig::sample_target_stderr`],
-    /// re-intervalled to [`LabConfig::sample_interval`].
-    Adaptive,
-}
-
-impl SamplePlanKind {
-    /// The `--sample-plan` spelling of this kind.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SamplePlanKind::Periodic => "periodic",
-            SamplePlanKind::PhaseAware => "phases",
-            SamplePlanKind::Adaptive => "adaptive",
-        }
-    }
 }
 
 /// A rejected `MSP_BENCH_*` environment value.
@@ -217,12 +183,13 @@ impl LabConfig {
     /// * `MSP_BENCH_TRACE_CACHE_BYTES` — trace-cache byte budget; a
     ///   non-negative integer (`0` disables retention beyond the trace in
     ///   use).
-    /// * `MSP_BENCH_SAMPLE_INTERVAL` — sampling interval for `--sample`
-    ///   runs; a positive integer.
-    /// * `MSP_BENCH_SAMPLE_PLAN` — sampling plan for `--sample` runs; one
-    ///   of `periodic`, `phases`, `adaptive`.
-    /// * `MSP_BENCH_SAMPLE_TARGET_STDERR` — adaptive stopping target for
-    ///   `--sample` runs; a number strictly between 0 and 1.
+    /// * `MSP_BENCH_SAMPLE_INTERVAL` — sampling interval of
+    ///   [`LabConfig::sample_plan`]; a positive integer.
+    /// * `MSP_BENCH_SAMPLE_PLAN` — the kind of [`LabConfig::sample_plan`];
+    ///   one of `periodic`, `phases`, `adaptive`.
+    /// * `MSP_BENCH_SAMPLE_TARGET_STDERR` — stopping target of an adaptive
+    ///   [`LabConfig::sample_plan`]; a number strictly between 0 and 1
+    ///   (checked whatever the plan kind).
     /// * `MSP_BENCH_TRACE_DIR` — directory of the persistent trace store;
     ///   a non-empty path (created if missing).
     /// * `MSP_BENCH_TRACE_STORE_BYTES` — byte budget of the on-disk store;
@@ -233,22 +200,6 @@ impl LabConfig {
     /// Unset variables use the [`Default`] values; set-but-invalid ones are
     /// a [`LabConfigError`].
     pub fn from_env() -> Result<LabConfig, LabConfigError> {
-        // `env::var_os` + explicit UTF-8 conversion: a non-UTF-8 value must
-        // surface as an error like any other garbage, not be treated as
-        // unset (which `env::var(..).ok()` would silently do).
-        fn read(var: &'static str) -> Result<Option<String>, LabConfigError> {
-            match std::env::var_os(var) {
-                None => Ok(None),
-                Some(value) => match value.into_string() {
-                    Ok(value) => Ok(Some(value)),
-                    Err(raw) => Err(LabConfigError {
-                        var,
-                        value: raw.to_string_lossy().into_owned(),
-                        reason: "not valid UTF-8",
-                    }),
-                },
-            }
-        }
         Self::from_vars(
             read("MSP_BENCH_INSTRUCTIONS")?.as_deref(),
             read("MSP_BENCH_THREADS")?.as_deref(),
@@ -259,6 +210,25 @@ impl LabConfig {
             read("MSP_BENCH_TRACE_DIR")?.as_deref(),
             read("MSP_BENCH_TRACE_STORE_BYTES")?.as_deref(),
             read("MSP_BENCH_JOURNAL_DIR")?.as_deref(),
+        )
+    }
+
+    /// The [`LabConfig::sample_plan`] of the environment, with the
+    /// `MSP_BENCH_SAMPLE_PLAN` and `MSP_BENCH_SAMPLE_TARGET_STDERR` values
+    /// replaced by `plan` and `target_stderr` where given — how the
+    /// `msp-lab --sample-plan` / `--sample-target-stderr` flags override
+    /// their environment defaults (an environment target applies to a
+    /// flag-chosen adaptive plan too). Parsed by the same strict rules.
+    pub fn sample_plan_from_env(
+        plan: Option<&str>,
+        target_stderr: Option<&str>,
+    ) -> Result<SamplingPlan, LabConfigError> {
+        let env_plan = read("MSP_BENCH_SAMPLE_PLAN")?;
+        let env_target = read("MSP_BENCH_SAMPLE_TARGET_STDERR")?;
+        parse_sample_plan(
+            read("MSP_BENCH_SAMPLE_INTERVAL")?.as_deref(),
+            plan.or(env_plan.as_deref()),
+            target_stderr.or(env_target.as_deref()),
         )
     }
 
@@ -294,34 +264,7 @@ impl LabConfig {
         }
         let trace_dir = parse_dir("MSP_BENCH_TRACE_DIR", trace_dir)?;
         let journal_dir = parse_dir("MSP_BENCH_JOURNAL_DIR", journal_dir)?;
-        let sample_plan = match sample_plan.map(str::trim) {
-            None => defaults.sample_plan,
-            Some("periodic") => SamplePlanKind::Periodic,
-            Some("phases") => SamplePlanKind::PhaseAware,
-            Some("adaptive") => SamplePlanKind::Adaptive,
-            Some(other) => {
-                return Err(LabConfigError {
-                    var: "MSP_BENCH_SAMPLE_PLAN",
-                    value: other.to_string(),
-                    reason: "must be one of: periodic, phases, adaptive",
-                })
-            }
-        };
-        let sample_target_stderr = match sample_target_stderr {
-            None => defaults.sample_target_stderr,
-            Some(value) => {
-                let parsed = value
-                    .trim()
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|t| t.is_finite() && *t > 0.0 && *t < 1.0);
-                parsed.ok_or(LabConfigError {
-                    var: "MSP_BENCH_SAMPLE_TARGET_STDERR",
-                    value: value.to_string(),
-                    reason: "must be a number strictly between 0 and 1",
-                })?
-            }
-        };
+        let sample_plan = parse_sample_plan(sample_interval, sample_plan, sample_target_stderr)?;
         Ok(LabConfig {
             instructions: parse_var(
                 "MSP_BENCH_INSTRUCTIONS",
@@ -337,14 +280,7 @@ impl LabConfig {
                 defaults.trace_cache_bytes as u64,
                 false,
             )? as usize,
-            sample_interval: parse_var(
-                "MSP_BENCH_SAMPLE_INTERVAL",
-                sample_interval,
-                defaults.sample_interval,
-                true,
-            )?,
             sample_plan,
-            sample_target_stderr,
             trace_dir,
             trace_store_bytes: parse_var(
                 "MSP_BENCH_TRACE_STORE_BYTES",
@@ -356,18 +292,67 @@ impl LabConfig {
         })
     }
 
-    /// The [`SamplingPlan`] a flag-driven `--sample` run uses: the
-    /// configured [`LabConfig::sample_plan`] kind at
-    /// [`LabConfig::sample_interval`] (with
-    /// [`LabConfig::sample_target_stderr`] as the adaptive stopping
-    /// target).
+    /// The [`SamplingPlan`] a flag-driven `--sample` run uses:
+    /// [`LabConfig::sample_plan`].
     pub fn sampling_plan(&self) -> SamplingPlan {
-        match self.sample_plan {
-            SamplePlanKind::Periodic => SamplingPlan::periodic(self.sample_interval),
-            SamplePlanKind::PhaseAware => SamplingPlan::phase_aware(self.sample_interval),
-            SamplePlanKind::Adaptive => SamplingPlan::adaptive(self.sample_target_stderr)
-                .with_interval(self.sample_interval),
-        }
+        self.sample_plan
+    }
+}
+
+/// Reads one environment variable. `env::var_os` + explicit UTF-8
+/// conversion: a non-UTF-8 value must surface as an error like any other
+/// garbage, not be treated as unset (which `env::var(..).ok()` would
+/// silently do).
+fn read(var: &'static str) -> Result<Option<String>, LabConfigError> {
+    match std::env::var_os(var) {
+        None => Ok(None),
+        Some(value) => match value.into_string() {
+            Ok(value) => Ok(Some(value)),
+            Err(raw) => Err(LabConfigError {
+                var,
+                value: raw.to_string_lossy().into_owned(),
+                reason: "not valid UTF-8",
+            }),
+        },
+    }
+}
+
+/// Builds the sampling plan of the three `MSP_BENCH_SAMPLE_*` values
+/// (`None` = unset): the plan kind at the interval, with the target as the
+/// adaptive stopping rule.
+fn parse_sample_plan(
+    interval: Option<&str>,
+    plan: Option<&str>,
+    target_stderr: Option<&str>,
+) -> Result<SamplingPlan, LabConfigError> {
+    let interval = parse_var(
+        "MSP_BENCH_SAMPLE_INTERVAL",
+        interval,
+        DEFAULT_SAMPLE_INTERVAL,
+        true,
+    )?;
+    let target = match target_stderr {
+        None => DEFAULT_SAMPLE_TARGET_STDERR,
+        Some(value) => value
+            .trim()
+            .parse::<f64>()
+            .ok()
+            .filter(|t| t.is_finite() && *t > 0.0 && *t < 1.0)
+            .ok_or(LabConfigError {
+                var: "MSP_BENCH_SAMPLE_TARGET_STDERR",
+                value: value.to_string(),
+                reason: "must be a number strictly between 0 and 1",
+            })?,
+    };
+    match plan.map(str::trim) {
+        None | Some("periodic") => Ok(SamplingPlan::periodic(interval)),
+        Some("phases") => Ok(SamplingPlan::phase_aware(interval)),
+        Some("adaptive") => Ok(SamplingPlan::adaptive(target).with_interval(interval)),
+        Some(other) => Err(LabConfigError {
+            var: "MSP_BENCH_SAMPLE_PLAN",
+            value: other.to_string(),
+            reason: "must be one of: periodic, phases, adaptive",
+        }),
     }
 }
 
@@ -497,7 +482,7 @@ impl SharedTrace {
             SharedTrace::Disk(reader) => TraceSource::from(
                 reader
                     .cursor()
-                    .expect("trace store file vanished while in use"),
+                    .expect("cursors read through the reader's open handle"),
             ),
         }
     }
@@ -509,28 +494,20 @@ impl SharedTrace {
         }
     }
 
-    /// The per-interval basic-block vectors of this trace, for phase
-    /// clustering. Materialised traces carry them; disk traces read the
-    /// stored v2 chunk, and a v1 file (no stored BBVs) derives them with
-    /// one streaming pass over its records — the same
-    /// [`BbvAccumulator`] the capture would have run, so all three routes
-    /// produce identical signatures.
-    fn bbvs(&self, program: &Program, interval: u64) -> Vec<BbvSignature> {
+    /// The per-interval basic-block vectors of this (checkpointed) trace,
+    /// for phase clustering: carried by a materialised trace, decoded from
+    /// the stored chunk of a disk trace. The file verified at open, so a
+    /// decode failure means it was modified in place while in use — a
+    /// panic, like a cursor's.
+    fn bbvs(&self) -> Vec<BbvSignature> {
         match self {
             SharedTrace::Memory(trace) => trace.bbvs().to_vec(),
-            SharedTrace::Disk(reader) => {
-                if let Ok(Some(bbvs)) = reader.read_bbvs() {
-                    return bbvs;
-                }
-                let mut acc = BbvAccumulator::new(interval);
-                let mut source = self.open_source();
-                let mut index = 0;
-                while let Some(rec) = source.get(program, index) {
-                    acc.observe(rec);
-                    index += 1;
-                }
-                acc.finish()
-            }
+            SharedTrace::Disk(reader) => reader
+                .read_bbvs()
+                .unwrap_or_else(|e| {
+                    panic!("trace file {} unreadable: {e}", reader.path().display())
+                })
+                .unwrap_or_default(),
         }
     }
 }
@@ -1325,7 +1302,7 @@ impl Lab {
                         } => {
                             if phase_windows[w].is_none() {
                                 let trace = traces[w].as_ref().expect("pending workload resolved");
-                                let bbvs = trace.bbvs(axes.workloads[w].program(), interval);
+                                let bbvs = trace.bbvs();
                                 // Tail intervals with a recorded BBV (the
                                 // program ran into them); interval k covers
                                 // [k·interval, (k+1)·interval).

@@ -13,18 +13,24 @@
 //! {program_fingerprint:016x}-{record_budget}-{checkpoint_interval}.msptrace
 //! ```
 //!
-//! so the name alone answers a cache probe (no manifest file, no lock file —
-//! concurrent writers race benignly through atomic rename, and identical keys
-//! hold bit-identical content because functional execution is deterministic).
-//! The store is byte-bounded: after every write the least-recently-*used*
-//! files (by modification time, which hits refresh) are deleted until the
-//! directory fits [`TraceStore::budget_bytes`], always retaining the newest
-//! file.
+//! so the name alone answers a cache probe (no manifest file, no lock file).
+//! The directory is a `BlobDir` (see `blob.rs`): every file is committed
+//! by temp write + fsync + rename + directory fsync, concurrent writers of
+//! one key race benignly (functional execution is deterministic, so
+//! identical keys hold bit-identical content), and stale temps of crashed
+//! writers are swept on open. The store is byte-bounded: after every write
+//! the least-recently-*used* files (by modification time, which hits
+//! refresh) are deleted until the directory fits
+//! [`TraceStore::budget_bytes`], always retaining the newest file.
 //!
 //! A file that fails verification (truncated copy, version bump, flipped bit —
 //! the format checksums everything) is **deleted and treated as a miss**: the
-//! trace is re-captured, never trusted.
+//! trace is re-captured, never trusted. A reader keeps the file handle it
+//! verified, so a trace GC deletes while a sweep still streams it stays
+//! readable until the sweep drops it.
 
+use crate::blob::BlobDir;
+pub use crate::blob::GcReport;
 use crate::report::{Block, Report};
 use crate::TextTable;
 use msp_isa::{
@@ -34,7 +40,6 @@ use msp_workloads::{spec_fp_like, spec_int_like, Variant};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::SystemTime;
 
@@ -49,7 +54,7 @@ pub const TRACE_FILE_EXT: &str = "msptrace";
 /// A bounded directory of persistent compressed trace files.
 #[derive(Debug)]
 pub struct TraceStore {
-    dir: PathBuf,
+    blobs: BlobDir,
     budget_bytes: u64,
 }
 
@@ -72,35 +77,19 @@ pub struct StoreEntry {
     pub modified: SystemTime,
 }
 
-/// What one [`TraceStore::gc`] pass did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GcReport {
-    /// Files deleted.
-    pub deleted: usize,
-    /// Bytes those files occupied.
-    pub freed_bytes: u64,
-    /// Files retained.
-    pub retained: usize,
-    /// Bytes the retained files occupy.
-    pub retained_bytes: u64,
-}
-
-/// Distinguishes temp files of concurrent writers in the same directory.
-static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
 impl TraceStore {
     /// Opens (creating if necessary) the store directory, sweeping any
     /// stale `.tmp-*` files a crashed writer left behind mid-commit.
     pub fn open(dir: impl Into<PathBuf>, budget_bytes: u64) -> io::Result<TraceStore> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        sweep_stale_temps(&dir);
-        Ok(TraceStore { dir, budget_bytes })
+        Ok(TraceStore {
+            blobs: BlobDir::open(dir)?,
+            budget_bytes,
+        })
     }
 
     /// The store directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.blobs.dir()
     }
 
     /// The byte budget [`TraceStore::gc`] enforces.
@@ -115,7 +104,7 @@ impl TraceStore {
 
     /// The path a `(program, budget, interval)` key resolves to.
     pub fn path_for(&self, program: &Program, budget: u64, checkpoint_interval: u64) -> PathBuf {
-        self.dir.join(Self::file_name(
+        self.dir().join(Self::file_name(
             program_fingerprint(program),
             budget,
             checkpoint_interval,
@@ -133,34 +122,24 @@ impl TraceStore {
         checkpoint_interval: u64,
     ) -> Option<Arc<TraceReader>> {
         let path = self.path_for(program, budget, checkpoint_interval);
-        if !path.exists() {
-            return None;
-        }
-        match TraceReader::open(&path, program) {
-            Ok(reader) => {
-                touch(&path);
-                Some(Arc::new(reader))
-            }
-            Err(e) => {
-                eprintln!(
-                    "msp-bench: discarding unreadable trace {}: {e}",
-                    path.display()
-                );
-                let _ = fs::remove_file(&path);
-                None
-            }
-        }
+        let reader = self
+            .blobs
+            .read_verified(&path, |path| TraceReader::open(path, program))?;
+        touch(&path);
+        Some(Arc::new(reader))
     }
 
     /// Persists an already-materialised trace under its content key, then
-    /// GCs. Atomic (temp file + rename): a concurrent reader never observes
+    /// GCs. Atomic (`BlobDir` commit): a concurrent reader never observes
     /// a partial file, and racing writers of the same key both win (the
     /// contents are bit-identical).
     pub fn save(&self, program: &Program, budget: u64, trace: &Trace) -> io::Result<PathBuf> {
         let path = self.path_for(program, budget, trace.checkpoint_interval());
-        self.commit(&path, |temp| {
-            write_trace_to_path(temp, program, trace).map_err(io::Error::other)
-        })?;
+        self.blobs.commit(
+            &path,
+            |temp| write_trace_to_path(temp, program, trace),
+            || {},
+        )?;
         self.gc()?;
         Ok(path)
     }
@@ -175,31 +154,13 @@ impl TraceStore {
         checkpoint_interval: u64,
     ) -> io::Result<PathBuf> {
         let path = self.path_for(program, budget, checkpoint_interval);
-        self.commit(&path, |temp| {
-            capture_trace_to_path(temp, program, budget, checkpoint_interval)
-                .map_err(io::Error::other)
-        })?;
+        self.blobs.commit(
+            &path,
+            |temp| capture_trace_to_path(temp, program, budget, checkpoint_interval),
+            || {},
+        )?;
         self.gc()?;
         Ok(path)
-    }
-
-    fn commit(&self, path: &Path, write: impl FnOnce(&Path) -> io::Result<()>) -> io::Result<()> {
-        let temp = self.dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        if let Err(e) = write(&temp) {
-            let _ = fs::remove_file(&temp);
-            return Err(e);
-        }
-        match fs::rename(&temp, path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = fs::remove_file(&temp);
-                Err(e)
-            }
-        }
     }
 
     /// Every stored trace, sorted by file name (deterministic across
@@ -207,7 +168,7 @@ impl TraceStore {
     /// parse as store keys — including in-flight temp files — are ignored.
     pub fn entries(&self) -> io::Result<Vec<StoreEntry>> {
         let mut entries = Vec::new();
-        for dirent in fs::read_dir(&self.dir)? {
+        for dirent in fs::read_dir(self.dir())? {
             let dirent = dirent?;
             let file_name = dirent.file_name();
             let Some(name) = file_name.to_str() else {
@@ -244,77 +205,13 @@ impl TraceStore {
     /// file is always retained, so even a zero budget keeps the trace the
     /// current sweep just wrote.
     pub fn gc(&self) -> io::Result<GcReport> {
-        let mut entries = self.entries()?;
-        entries.sort_by(|a, b| (a.modified, &a.file_name).cmp(&(b.modified, &b.file_name)));
-        let mut total: u64 = entries.iter().map(|e| e.bytes).sum();
-        let mut report = GcReport::default();
-        let mut survivors = entries.len();
-        for entry in &entries {
-            if total <= self.budget_bytes || survivors <= 1 {
-                break;
-            }
-            fs::remove_file(&entry.path)?;
-            total -= entry.bytes;
-            survivors -= 1;
-            report.deleted += 1;
-            report.freed_bytes += entry.bytes;
-        }
-        report.retained = survivors;
-        report.retained_bytes = total;
-        Ok(report)
+        let files = self
+            .entries()?
+            .into_iter()
+            .map(|e| (e.path, e.bytes, e.modified))
+            .collect();
+        self.blobs.gc(files, self.budget_bytes)
     }
-}
-
-/// Age beyond which a temp file is considered abandoned when the owning
-/// process cannot be identified (no `/proc`, unparseable name).
-const STALE_TEMP_SECS: u64 = 3600;
-
-/// Deletes orphaned `.tmp-{pid}-{counter}` files: atomic temp+rename commits
-/// leak their temp when the writing process dies between the write and the
-/// rename. A temp is stale when its owning process is provably gone
-/// (`/proc/{pid}` absent) or, without a liveness oracle, when it is over an
-/// hour old. Best-effort and shared by every temp+rename directory in the
-/// crate (trace store and experiment journal). Returns the number deleted.
-pub(crate) fn sweep_stale_temps(dir: &Path) -> usize {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return 0;
-    };
-    let mut swept = 0;
-    for dirent in entries.flatten() {
-        let file_name = dirent.file_name();
-        let Some(name) = file_name.to_str() else {
-            continue;
-        };
-        if !name.starts_with(".tmp-") {
-            continue;
-        }
-        if temp_is_stale(name, &dirent.path()) && fs::remove_file(dirent.path()).is_ok() {
-            swept += 1;
-        }
-    }
-    swept
-}
-
-fn temp_is_stale(name: &str, path: &Path) -> bool {
-    let owner = name
-        .strip_prefix(".tmp-")
-        .and_then(|rest| rest.split('-').next())
-        .and_then(|pid| pid.parse::<u32>().ok());
-    if let Some(pid) = owner {
-        if pid == std::process::id() {
-            return false;
-        }
-        if Path::new("/proc").is_dir() {
-            return !Path::new(&format!("/proc/{pid}")).exists();
-        }
-    }
-    // No liveness oracle: fall back to age (a live writer finishes its
-    // commit in well under an hour).
-    fs::metadata(path)
-        .and_then(|meta| meta.modified())
-        .ok()
-        .and_then(|modified| SystemTime::now().duration_since(modified).ok())
-        .is_some_and(|age| age.as_secs() > STALE_TEMP_SECS)
 }
 
 /// Refreshes a file's modification time (a disk-cache hit marks the file
@@ -425,13 +322,7 @@ mod tests {
     use super::*;
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "msp-store-{tag}-{}-{}",
-            std::process::id(),
-            TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        dir
+        crate::blob::test_dir(&format!("store-{tag}"))
     }
 
     #[test]

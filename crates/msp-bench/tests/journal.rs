@@ -6,23 +6,20 @@
 //!   performing zero timing simulations *and* zero functional executions;
 //! * a process SIGKILLed at **any** injected fault point of the journal
 //!   commit path (`MSP_BENCH_KILL_POINT`) resumes to a bit-identical
-//!   result, recomputing only the cells whose WAL records never landed —
-//!   the kill matrix walks every site at several occurrence depths;
-//! * a torn WAL tail of *any* length replays exactly the complete record
-//!   prefix and is truncated, never trusted (property-based);
+//!   result, recomputing only the cells whose files were never renamed
+//!   into place — the kill matrix walks every site at several occurrence
+//!   depths;
+//! * a journal directory written by older builds (cell files plus a
+//!   write-ahead log) replays completely, the log ignored;
 //! * journal or trace-store directories that cannot be opened degrade to
 //!   warnings and in-memory operation — I/O trouble never fails a sweep.
 
-use msp_bench::journal::{
-    wal_record, KILL_POINTS, KILL_POINT_ENV, KILL_WAL_APPENDED, WAL_FILE_NAME,
-};
-use msp_bench::{Experiment, ExperimentJournal, Lab, LabConfig, ResultSet, SamplingPlan};
+use msp_bench::journal::{KILL_CELL_RENAMED, KILL_POINTS, KILL_POINT_ENV};
+use msp_bench::{Experiment, Lab, LabConfig, ResultSet, SamplingPlan};
 use msp_branch::PredictorKind;
 use msp_pipeline::MachineKind;
 use msp_workloads::{by_name, Variant};
-use proptest::prelude::*;
-use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -228,48 +225,6 @@ fn unopenable_journal_and_store_degrade_gracefully() {
     assert_bit_identical(&degraded, &plain, "degraded run");
 }
 
-proptest! {
-    /// A WAL with a torn tail of *any* length — zero bytes up to one byte
-    /// short of a whole record — replays exactly the complete record
-    /// prefix, truncates the tear, and never trusts a fingerprint past it.
-    #[test]
-    fn torn_wal_tail_replays_exactly_the_complete_prefix(
-        fps in proptest::collection::vec(0u64..u64::MAX, 0..10),
-        torn_fp in 0u64..u64::MAX,
-        cut in 0usize..20,
-    ) {
-        let dir = TempDir::new("prop-torn");
-        // Opening once writes the header (and nothing else).
-        drop(ExperimentJournal::open(dir.path()));
-        let wal = dir.path().join(WAL_FILE_NAME);
-        let header_len = std::fs::metadata(&wal).unwrap().len();
-        let mut bytes = std::fs::read(&wal).unwrap();
-        for fp in &fps {
-            bytes.extend_from_slice(&wal_record(*fp));
-        }
-        let torn = wal_record(torn_fp);
-        // 20 bytes per record; a layout change must update the cut range.
-        prop_assert_eq!(torn.len(), 20);
-        bytes.extend_from_slice(&torn[..cut]);
-        std::fs::write(&wal, &bytes).unwrap();
-
-        let journal = ExperimentJournal::open(dir.path());
-        prop_assert!(!journal.is_degraded());
-        let expected: HashSet<u64> = fps.iter().copied().collect();
-        prop_assert_eq!(journal.known_count(), expected.len());
-        for fp in &expected {
-            prop_assert!(journal.contains(*fp));
-        }
-        if cut > 0 && !expected.contains(&torn_fp) {
-            prop_assert!(!journal.contains(torn_fp), "torn record must not replay");
-        }
-        prop_assert_eq!(
-            std::fs::metadata(&wal).unwrap().len(),
-            header_len + 20 * fps.len() as u64
-        );
-    }
-}
-
 // ------------------------------------------------------- the kill matrix
 
 /// Cells in the `table1` report at any budget: 3 workloads × 4 machines.
@@ -323,8 +278,9 @@ fn assert_killed(status: std::process::ExitStatus, context: &str) {
 /// point of the journal commit path, at several occurrence depths, and a
 /// plain `--resume` run afterwards must (a) produce stdout byte-identical
 /// to an unjournaled reference run, (b) replay **exactly** the cells whose
-/// WAL records committed before the kill, and (c) leave the journal fully
-/// warm — a third run replays all 12 cells with zero functional work.
+/// files were renamed into place before the kill, and (c) leave the
+/// journal fully warm — a third run replays all 12 cells with zero
+/// functional work.
 #[test]
 fn kill_matrix_every_fault_point_resumes_bit_identically() {
     // The unjournaled reference output (full float precision via JSON).
@@ -349,9 +305,9 @@ fn kill_matrix_every_fault_point_resumes_bit_identically() {
             assert_killed(killed.status, &context);
 
             // With one worker the commit order is deterministic: the n-th
-            // occurrence of a pre-commit site leaves n-1 records; the
-            // post-commit site leaves n.
-            let committed = if site == KILL_WAL_APPENDED {
+            // occurrence of the pre-rename site leaves n-1 committed cells;
+            // the post-rename site leaves n.
+            let committed = if site == KILL_CELL_RENAMED {
                 nth
             } else {
                 nth - 1
@@ -429,7 +385,7 @@ fn batch_mode_resumes_after_a_kill() {
 
     let dir = TempDir::new("batch-kill");
     let killed = msp_lab_cmd(&dir)
-        .env(KILL_POINT_ENV, format!("{KILL_WAL_APPENDED}:15"))
+        .env(KILL_POINT_ENV, format!("{KILL_CELL_RENAMED}:15"))
         .args(["batch"])
         .arg(&manifest_path)
         .output()
@@ -450,4 +406,42 @@ fn batch_mode_resumes_after_a_kill() {
         resumed.stdout, clean.stdout,
         "resumed batch output diverged from an uninterrupted batch"
     );
+}
+
+/// A journal directory exactly as older builds wrote it — the 12 `table1`
+/// cell files at 2,000 instructions plus their write-ahead log, checked in
+/// under `tests/fixtures/parent-journal` — replays every cell with zero
+/// recompute and zero functional executions. The cell format is
+/// unchanged; the log is simply ignored. (Regenerate the fixture with
+/// `MSP_BENCH_INSTRUCTIONS=2000 MSP_BENCH_THREADS=1
+/// MSP_BENCH_JOURNAL_DIR=<dir> msp-lab table1 --resume` should the cell
+/// fingerprint ever change on purpose.)
+#[test]
+fn journal_from_older_builds_replays_every_cell() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent-journal");
+    let dir = TempDir::new("parent-layout");
+    std::fs::create_dir_all(dir.path()).unwrap();
+    let mut logs = 0;
+    for entry in std::fs::read_dir(&fixture).unwrap() {
+        let path = entry.unwrap().path();
+        logs += usize::from(path.extension().is_some_and(|ext| ext == "wal"));
+        std::fs::copy(&path, dir.path().join(path.file_name().unwrap())).unwrap();
+    }
+    assert_eq!(logs, 1, "the fixture carries the old write-ahead log");
+
+    let reference = msp_lab_cmd(&dir)
+        .env_remove("MSP_BENCH_JOURNAL_DIR")
+        .args(["table1", "--format", "json"])
+        .output()
+        .expect("reference run");
+    assert!(reference.status.success(), "reference run failed");
+    let resumed = msp_lab_cmd(&dir)
+        .args(["table1", "--format", "json", "--resume", "--verbose"])
+        .output()
+        .expect("resumed run");
+    assert!(resumed.status.success(), "resume failed");
+    assert_eq!(resumed.stdout, reference.stdout);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert_eq!(parse_journal_line(&stderr), (TABLE1_CELLS, 0), "{stderr}");
+    assert!(stderr.contains("/ 0 captures"), "{stderr}");
 }

@@ -333,7 +333,8 @@ fn sample_interval_env_is_strict() {
     assert_eq!(
         LabConfig::from_vars(None, None, None, None, None, None, None, None, None)
             .unwrap()
-            .sample_interval,
+            .sample_plan
+            .interval(),
         msp_bench::DEFAULT_SAMPLE_INTERVAL
     );
     assert_eq!(
@@ -349,7 +350,8 @@ fn sample_interval_env_is_strict() {
             None
         )
         .unwrap()
-        .sample_interval,
+        .sample_plan
+        .interval(),
         25_000
     );
     for bad in ["0", "", "abc", "-5", "1e6", "100_000"] {

@@ -4,10 +4,14 @@
 //! The invariants: a warm store means a **cold process performs zero
 //! functional executions**; a budget too large for the in-memory LRU is
 //! simulated through a bounded-memory streaming cursor with statistics
-//! **bit-identical** to the materialised path; and the store recovers from
-//! corruption by re-capturing, never by trusting a damaged file.
+//! **bit-identical** to the materialised path, even while the store's GC
+//! deletes the file being streamed; and the store (like the journal)
+//! recovers from corruption or lost contents by recomputing, never by
+//! trusting a damaged file.
 
-use msp_bench::{Experiment, Lab, LabConfig, SamplingPlan, DEFAULT_TRACE_CACHE_BYTES};
+use msp_bench::{
+    Experiment, ExperimentJournal, Lab, LabConfig, SamplingPlan, DEFAULT_TRACE_CACHE_BYTES,
+};
 use msp_branch::PredictorKind;
 use msp_pipeline::MachineKind;
 use msp_workloads::{by_name, Variant};
@@ -226,4 +230,88 @@ fn twenty_million_instruction_budget_streams_within_default_lru_bound() {
         entry.bytes,
         in_memory
     );
+}
+
+/// The contents of a file whose rename landed but whose data did not (a
+/// power cut before the writeback): a zero-length or half-length file at
+/// its final name. For both kinds of committed file — a stored trace and a
+/// journaled cell — that is a miss: the file is deleted and recomputed.
+#[test]
+fn truncated_files_are_misses_and_are_deleted() {
+    let dir = TempStoreDir::new("truncated");
+    let lab = Lab::new(LabConfig {
+        instructions: 2_000,
+        threads: 1,
+        trace_dir: Some(dir.path().join("traces")),
+        journal_dir: Some(dir.path().join("journal")),
+        ..LabConfig::default()
+    });
+    let experiment = Experiment::new("truncated")
+        .workload(by_name("gzip", Variant::Original).unwrap())
+        .machine(MachineKind::msp(16))
+        .predictor(PredictorKind::Gshare);
+    lab.run(&experiment);
+    let entry = lab.trace_store().unwrap().entries().unwrap().remove(0);
+    let trace = entry.path.clone();
+    let cell = std::fs::read_dir(dir.path().join("journal"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|ext| ext == "mspcell"))
+        .expect("one journaled cell");
+    let workload = by_name("gzip", Variant::Original).unwrap();
+    let fingerprint = u64::from_str_radix(cell.file_stem().unwrap().to_str().unwrap(), 16).unwrap();
+    for path in [&trace, &cell] {
+        let full = std::fs::read(path).unwrap();
+        for keep in [0, full.len() / 2] {
+            std::fs::write(path, &full[..keep]).unwrap();
+            let hit = if path == &trace {
+                lab.trace_store()
+                    .unwrap()
+                    .open_reader(workload.program(), entry.budget, 0)
+                    .is_some()
+            } else {
+                ExperimentJournal::open(dir.path().join("journal"))
+                    .load_cell(fingerprint)
+                    .is_some()
+            };
+            assert!(!hit, "{} cut to {keep} bytes must miss", path.display());
+            assert!(!path.exists(), "{} must be deleted", path.display());
+        }
+    }
+}
+
+/// A zero store budget and a zero memory budget make every trace stream
+/// from disk while the store's GC deletes each kernel's file as soon as the
+/// next kernel is captured. The sweep must still read every trace it
+/// verified — stdout identical to a run under the default budgets.
+#[test]
+fn gc_of_a_trace_in_use_does_not_break_the_sweep() {
+    let run = |tag: &str, budgets: &[(&str, &str)]| {
+        let dir = TempStoreDir::new(tag);
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_msp-lab"))
+            .env_remove("MSP_BENCH_JOURNAL_DIR")
+            .env_remove("MSP_BENCH_TRACE_STORE_BYTES")
+            .env_remove("MSP_BENCH_TRACE_CACHE_BYTES")
+            .env("MSP_BENCH_TRACE_DIR", dir.path())
+            .env("MSP_BENCH_INSTRUCTIONS", "20000")
+            .env("MSP_BENCH_SAMPLE_INTERVAL", "5000")
+            .envs(budgets.iter().copied())
+            .args(["table1", "--sample"])
+            .output()
+            .expect("msp-lab runs");
+        assert!(
+            output.status.success(),
+            "{tag}: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        output.stdout
+    };
+    let tight = run(
+        "gc-tight",
+        &[
+            ("MSP_BENCH_TRACE_STORE_BYTES", "0"),
+            ("MSP_BENCH_TRACE_CACHE_BYTES", "0"),
+        ],
+    );
+    assert_eq!(tight, run("gc-default", &[]));
 }

@@ -21,18 +21,16 @@
 //! ckpts    (...)   one LZ-compressed chunk per architectural checkpoint
 //! end      (...)   one LZ-compressed chunk holding the end state
 //! bbvs     (...)   one LZ-compressed chunk holding every per-interval
-//!                  basic-block vector (version >= 2 only)
+//!                  basic-block vector
 //! index    (...)   record_count u64, complete u8, block entries,
-//!                  checkpoint entries, end entry, bbv entry (version >= 2)
+//!                  checkpoint entries, end entry, bbv entry
 //!                  (offsets, lengths, per-chunk FNV-1a checksums of the
 //!                  *uncompressed* bytes)
 //! footer   (24 B)  index_offset u64, file checksum u64, magic "MSPTREOF"
 //! ```
 //!
-//! Version 1 files — everything before the BBV chunk existed — remain fully
-//! readable: the reader simply reports no stored BBVs, and
-//! [`TraceReader::read_trace`] re-derives them from the decoded records, so
-//! phase-aware consumers see identical signatures either way.
+//! Any other version is rejected with [`TraceFileError::Version`]; a trace
+//! store deletes such a file and re-captures it.
 //!
 //! The file checksum is FNV-1a over every byte up to (not including) the
 //! checksum field itself, so any single flipped byte anywhere in the file is
@@ -62,13 +60,9 @@ use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Version written into every new trace file header. Version 2 added the
-/// basic-block-vector chunk; version 1 files are still read (their BBVs are
-/// derived from the records on demand).
+/// Version written into (and required of) every trace file header.
+/// Version 2 added the basic-block-vector chunk.
 pub const TRACE_FORMAT_VERSION: u32 = 2;
-
-/// Oldest format version the reader still accepts.
-pub const MIN_TRACE_FORMAT_VERSION: u32 = 1;
 
 /// Default number of records per compressed block.
 ///
@@ -116,8 +110,7 @@ impl fmt::Display for TraceFileError {
             TraceFileError::Corrupt(msg) => write!(f, "corrupt trace file: {msg}"),
             TraceFileError::Version { found } => write!(
                 f,
-                "unsupported trace file version {found} \
-                 (supported: {MIN_TRACE_FORMAT_VERSION}..={TRACE_FORMAT_VERSION})"
+                "unsupported trace file version {found} (supported: {TRACE_FORMAT_VERSION})"
             ),
             TraceFileError::ProgramMismatch { file, program } => write!(
                 f,
@@ -559,19 +552,6 @@ fn decode_bbvs(bytes: &mut Bytes<'_>) -> Result<Vec<BbvSignature>, TraceFileErro
     Ok(bbvs)
 }
 
-/// Derives the per-interval BBVs a version-2 capture would have stored, from
-/// an already-decoded record stream (the version-1 fallback).
-fn derive_bbvs(records: &[ExecutedInst], checkpoint_interval: u64) -> Vec<BbvSignature> {
-    if checkpoint_interval == 0 || records.is_empty() {
-        return Vec::new();
-    }
-    let mut acc = BbvAccumulator::new(checkpoint_interval);
-    for rec in records {
-        acc.observe(rec);
-    }
-    acc.finish()
-}
-
 // ---------------------------------------------------------------------------
 // writer
 // ---------------------------------------------------------------------------
@@ -641,7 +621,6 @@ struct PendingChunk {
 /// can stream a trace arbitrarily larger than RAM straight to disk.
 pub struct TraceWriter {
     out: HashingFile,
-    version: u32,
     block_records: u32,
     record_count: u64,
     blocks: Vec<BlockEntry>,
@@ -678,47 +657,15 @@ impl TraceWriter {
         checkpoint_interval: u64,
         block_records: u32,
     ) -> io::Result<TraceWriter> {
-        TraceWriter::with_format_version(
-            path,
-            program,
-            checkpoint_interval,
-            block_records,
-            TRACE_FORMAT_VERSION,
-        )
-    }
-
-    /// [`TraceWriter::with_block_records`] writing an explicit (older) format
-    /// version. Only compatibility tests should need this — new files always
-    /// use [`TRACE_FORMAT_VERSION`] — but it is the honest way to produce a
-    /// genuine version-1 file and prove the reader still accepts it.
-    /// A version-1 writer silently drops [`TraceWriter::add_bbv`] calls,
-    /// exactly like a version-1 capture that never profiled BBVs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_records` is zero or `version` is unsupported.
-    #[doc(hidden)]
-    pub fn with_format_version(
-        path: impl AsRef<Path>,
-        program: &Program,
-        checkpoint_interval: u64,
-        block_records: u32,
-        version: u32,
-    ) -> io::Result<TraceWriter> {
         assert!(block_records > 0, "block size must be positive");
-        assert!(
-            (MIN_TRACE_FORMAT_VERSION..=TRACE_FORMAT_VERSION).contains(&version),
-            "unsupported trace format version {version}"
-        );
         let mut out = HashingFile::create(path.as_ref())?;
         out.put(MAGIC)?;
-        out.put(&version.to_le_bytes())?;
+        out.put(&TRACE_FORMAT_VERSION.to_le_bytes())?;
         out.put(&block_records.to_le_bytes())?;
         out.put(&program_fingerprint(program).to_le_bytes())?;
         out.put(&checkpoint_interval.to_le_bytes())?;
         Ok(TraceWriter {
             out,
-            version,
             block_records,
             record_count: 0,
             blocks: Vec::new(),
@@ -771,12 +718,9 @@ impl TraceWriter {
 
     /// Buffers the basic-block vector of the *next* interval of appended
     /// records. BBV order must follow interval order, exactly as
-    /// [`crate::BbvAccumulator`] emits them. Ignored (dropped) when writing
-    /// a pre-BBV format version.
+    /// [`crate::BbvAccumulator`] emits them.
     pub fn add_bbv(&mut self, bbv: &BbvSignature) {
-        if self.version >= 2 {
-            self.bbvs.push(bbv.clone());
-        }
+        self.bbvs.push(bbv.clone());
     }
 
     fn flush_block(&mut self) -> io::Result<()> {
@@ -834,23 +778,17 @@ impl TraceWriter {
             checkpoints.push(entry);
         }
         let end = self.write_state_chunk(end_state)?;
-        let bbv_entry = if self.version >= 2 {
-            self.state_buf.clear();
-            let bbvs = std::mem::take(&mut self.bbvs);
-            encode_bbvs(&mut self.state_buf, &bbvs);
-            self.scratch.clear();
-            lz::compress_into(&self.state_buf, &mut self.scratch);
-            let entry = ChunkEntry {
-                offset: self.out.len,
-                comp_len: self.scratch.len() as u32,
-                raw_len: self.state_buf.len() as u32,
-                checksum: fnv1a(FNV_OFFSET, &self.state_buf),
-            };
-            self.out.put(&self.scratch)?;
-            Some(entry)
-        } else {
-            None
+        self.state_buf.clear();
+        encode_bbvs(&mut self.state_buf, &self.bbvs);
+        self.scratch.clear();
+        lz::compress_into(&self.state_buf, &mut self.scratch);
+        let bbv_entry = ChunkEntry {
+            offset: self.out.len,
+            comp_len: self.scratch.len() as u32,
+            raw_len: self.state_buf.len() as u32,
+            checksum: fnv1a(FNV_OFFSET, &self.state_buf),
         };
+        self.out.put(&self.scratch)?;
 
         let put_chunk = |index: &mut Vec<u8>, c: &ChunkEntry| {
             index.extend_from_slice(&c.offset.to_le_bytes());
@@ -875,9 +813,7 @@ impl TraceWriter {
             put_chunk(&mut index, c);
         }
         put_chunk(&mut index, &end);
-        if let Some(entry) = &bbv_entry {
-            put_chunk(&mut index, entry);
-        }
+        put_chunk(&mut index, &bbv_entry);
 
         let index_offset = self.out.len;
         self.out.put(&index)?;
@@ -893,19 +829,42 @@ impl TraceWriter {
 // reader
 // ---------------------------------------------------------------------------
 
+/// Reads exactly `buf.len()` bytes at `offset` without touching the file
+/// position, so every cursor can share one handle.
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    #[cfg(unix)]
+    {
+        std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+    }
+    #[cfg(windows)]
+    {
+        let mut done = 0;
+        while done < buf.len() {
+            match std::os::windows::fs::FileExt::seek_read(
+                file,
+                &mut buf[done..],
+                offset + done as u64,
+            )? {
+                0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+                n => done += n,
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Reads a compressed chunk at `offset`, verifies its length and checksum,
 /// and leaves the uncompressed payload in `raw`. A free function (not a
 /// method) so callers can borrow disjoint fields of a cursor.
 fn read_chunk(
-    file: &mut File,
+    file: &File,
     entry: &ChunkEntry,
     comp: &mut Vec<u8>,
     raw: &mut Vec<u8>,
 ) -> Result<(), TraceFileError> {
-    file.seek(SeekFrom::Start(entry.offset))?;
     comp.clear();
     comp.resize(entry.comp_len as usize, 0);
-    file.read_exact(comp)?;
+    read_exact_at(file, comp, entry.offset)?;
     raw.clear();
     lz::decompress_into(comp, raw)
         .map_err(|e| corrupt(format!("chunk at offset {}: {e}", entry.offset)))?;
@@ -942,17 +901,18 @@ impl BlockEntry {
 ///
 /// A reader decodes no payload by itself — use [`TraceReader::read_trace`] to
 /// materialise the full [`Trace`], or [`TraceReader::cursor`] to stream it
-/// block by block.
+/// block by block. Every later read goes through the file handle the reader
+/// verified, never the path: the bytes decoded are the bytes checksummed,
+/// and the file stays readable if it is unlinked (a store GC) while in use.
 #[derive(Debug)]
 pub struct TraceReader {
     path: PathBuf,
+    file: File,
     meta: TraceFileMeta,
     blocks: Vec<BlockEntry>,
     checkpoints: Vec<ChunkEntry>,
     end: ChunkEntry,
-    /// The stored-BBV chunk; `None` for version-1 files, whose BBVs must be
-    /// derived from the records instead.
-    bbv: Option<ChunkEntry>,
+    bbv: ChunkEntry,
 }
 
 impl TraceReader {
@@ -981,7 +941,7 @@ impl TraceReader {
             return Err(corrupt("bad header magic"));
         }
         let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        if !(MIN_TRACE_FORMAT_VERSION..=TRACE_FORMAT_VERSION).contains(&version) {
+        if version != TRACE_FORMAT_VERSION {
             return Err(TraceFileError::Version { found: version });
         }
         let block_records = u32::from_le_bytes(header[12..16].try_into().unwrap());
@@ -1060,13 +1020,7 @@ impl TraceReader {
             checkpoints.push(read_chunk_entry(&mut bytes)?);
         }
         let end = read_chunk_entry(&mut bytes)?;
-        // The BBV chunk entry only exists from format version 2 on; parsing
-        // it unconditionally would trip `expect_end` on version-1 files.
-        let bbv = if version >= 2 {
-            Some(read_chunk_entry(&mut bytes)?)
-        } else {
-            None
-        };
+        let bbv = read_chunk_entry(&mut bytes)?;
         bytes.expect_end()?;
 
         if blocks.iter().map(|b| u64::from(b.records)).sum::<u64>() != record_count {
@@ -1075,8 +1029,7 @@ impl TraceReader {
         for (offset, comp_len) in blocks.iter().map(|b| (b.offset, b.comp_len)).chain(
             checkpoints
                 .iter()
-                .chain([&end])
-                .chain(bbv.as_ref())
+                .chain([&end, &bbv])
                 .map(|c| (c.offset, c.comp_len)),
         ) {
             if offset < HEADER_LEN as u64 || offset + u64::from(comp_len) > index_offset {
@@ -1086,6 +1039,7 @@ impl TraceReader {
 
         Ok(TraceReader {
             path,
+            file,
             meta: TraceFileMeta {
                 version,
                 fingerprint,
@@ -1140,80 +1094,78 @@ impl TraceReader {
     /// the trace it was written from.
     pub fn read_trace(&self, program: &Program) -> Result<Trace, TraceFileError> {
         self.check_program(program)?;
-        let mut file = File::open(&self.path)?;
+        let file = &self.file;
         let mut comp = Vec::new();
         let mut raw = Vec::new();
         let mut records = Vec::with_capacity(self.meta.record_count as usize);
         for b in &self.blocks {
-            read_chunk(&mut file, &b.chunk(), &mut comp, &mut raw)?;
+            read_chunk(file, &b.chunk(), &mut comp, &mut raw)?;
             decode_block(program, &raw, b.first_pc, b.records, &mut records)?;
         }
-        let mut decode_chunk_state = |entry: &ChunkEntry| -> Result<ArchState, TraceFileError> {
-            read_chunk(&mut file, entry, &mut comp, &mut raw)?;
-            let mut bytes = Bytes::new(&raw);
-            let state = decode_state(&mut bytes)?;
-            bytes.expect_end()?;
-            Ok(state)
-        };
         let mut checkpoints = Vec::with_capacity(self.checkpoints.len());
         for c in &self.checkpoints {
-            checkpoints.push(decode_chunk_state(c)?);
+            checkpoints.push(self.read_state(c, &mut comp, &mut raw)?);
         }
-        let end_state = decode_chunk_state(&self.end)?;
-        let bbvs = match &self.bbv {
-            Some(entry) => {
-                read_chunk(&mut file, entry, &mut comp, &mut raw)?;
-                let mut bytes = Bytes::new(&raw);
-                let bbvs = decode_bbvs(&mut bytes)?;
-                bytes.expect_end()?;
-                bbvs
-            }
-            // Version-1 file: re-derive what a version-2 capture would have
-            // stored, so in-memory traces look the same either way.
-            None => derive_bbvs(&records, self.meta.checkpoint_interval),
-        };
+        let end_state = self.read_state(&self.end, &mut comp, &mut raw)?;
         Ok(Trace::from_parts(
             records,
             end_state,
             self.meta.complete,
             self.meta.checkpoint_interval,
             checkpoints,
-            bbvs,
+            self.decode_bbvs()?,
         ))
     }
 
-    /// Decodes the per-interval basic-block vectors **stored** in the file.
-    /// Returns `None` for version-1 files, which predate BBV storage — the
-    /// caller decides whether to re-derive them by streaming the records
-    /// through a [`crate::BbvAccumulator`] (what [`TraceReader::read_trace`]
-    /// does internally).
-    pub fn read_bbvs(&self) -> Result<Option<Vec<BbvSignature>>, TraceFileError> {
-        let Some(entry) = &self.bbv else {
-            return Ok(None);
-        };
-        let mut file = File::open(&self.path)?;
-        let mut comp = Vec::new();
-        let mut raw = Vec::new();
-        read_chunk(&mut file, entry, &mut comp, &mut raw)?;
+    /// Reads and decodes the architectural-state chunk `entry`.
+    fn read_state(
+        &self,
+        entry: &ChunkEntry,
+        comp: &mut Vec<u8>,
+        raw: &mut Vec<u8>,
+    ) -> Result<ArchState, TraceFileError> {
+        read_chunk(&self.file, entry, comp, raw)?;
+        let mut bytes = Bytes::new(raw);
+        let state = decode_state(&mut bytes)?;
+        bytes.expect_end()?;
+        Ok(state)
+    }
+
+    /// The cursor's reaction to a chunk that verified at open but no longer
+    /// decodes: the file was modified in place while in use.
+    fn modified_in_use(&self, e: TraceFileError) -> ! {
+        panic!(
+            "trace file {} was modified while in use: {e}",
+            self.path.display()
+        )
+    }
+
+    fn decode_bbvs(&self) -> Result<Vec<BbvSignature>, TraceFileError> {
+        let (mut comp, mut raw) = (Vec::new(), Vec::new());
+        read_chunk(&self.file, &self.bbv, &mut comp, &mut raw)?;
         let mut bytes = Bytes::new(&raw);
         let bbvs = decode_bbvs(&mut bytes)?;
         bytes.expect_end()?;
-        Ok(Some(bbvs))
+        Ok(bbvs)
+    }
+
+    /// Decodes the per-interval basic-block vectors stored in the file.
+    /// Returns `None` for a trace captured without checkpoints, which
+    /// profiles no basic-block vectors.
+    pub fn read_bbvs(&self) -> Result<Option<Vec<BbvSignature>>, TraceFileError> {
+        if self.meta.checkpoint_interval == 0 {
+            return Ok(None);
+        }
+        self.decode_bbvs().map(Some)
     }
 
     /// Opens a streaming [`TraceCursor`] over this file. The reader is shared
     /// (`Arc`) so many cursors can stream the same file concurrently, each
-    /// with its own file handle and decode window.
+    /// with its own decode window, all through the reader's verified handle
+    /// (positional reads). Infallible since no file is reopened; the
+    /// `io::Result` is part of the stable API.
     pub fn cursor(self: &Arc<Self>) -> io::Result<TraceCursor> {
-        Ok(TraceCursor {
-            file: File::open(&self.path)?,
-            reader: Arc::clone(self),
-            slots: Vec::new(),
-            clock: 0,
-            comp_buf: Vec::new(),
-            raw_buf: Vec::new(),
-            end_state: None,
-        })
+        Ok(TraceCursor::new(Arc::clone(self)))
     }
 }
 
@@ -1251,7 +1203,6 @@ struct CursorSlot {
 #[derive(Debug)]
 pub struct TraceCursor {
     reader: Arc<TraceReader>,
-    file: File,
     slots: Vec<CursorSlot>,
     clock: u64,
     comp_buf: Vec<u8>,
@@ -1260,6 +1211,17 @@ pub struct TraceCursor {
 }
 
 impl TraceCursor {
+    fn new(reader: Arc<TraceReader>) -> TraceCursor {
+        TraceCursor {
+            reader,
+            slots: Vec::new(),
+            clock: 0,
+            comp_buf: Vec::new(),
+            raw_buf: Vec::new(),
+            end_state: None,
+        }
+    }
+
     /// Total records in the underlying file.
     pub fn len(&self) -> u64 {
         self.reader.meta.record_count
@@ -1299,28 +1261,12 @@ impl TraceCursor {
     /// The functional state immediately after the last record, decoded
     /// lazily on first use.
     pub fn end_state(&mut self) -> &ArchState {
-        if self.end_state.is_none() {
-            read_chunk(
-                &mut self.file,
-                &self.reader.end,
-                &mut self.comp_buf,
-                &mut self.raw_buf,
-            )
-            .and_then(|()| {
-                let mut bytes = Bytes::new(&self.raw_buf);
-                let state = decode_state(&mut bytes)?;
-                bytes.expect_end()?;
-                Ok(state)
-            })
-            .map(|state| self.end_state = Some(state))
-            .unwrap_or_else(|e| {
-                panic!(
-                    "trace file {} was modified while in use: {e}",
-                    self.reader.path.display()
-                )
-            });
-        }
-        self.end_state.as_ref().unwrap()
+        let reader = &self.reader;
+        self.end_state.get_or_insert_with(|| {
+            reader
+                .read_state(&reader.end, &mut self.comp_buf, &mut self.raw_buf)
+                .unwrap_or_else(|e| reader.modified_in_use(e))
+        })
     }
 
     /// Decodes the checkpoint positioned before record `index`, with the same
@@ -1331,26 +1277,12 @@ impl TraceCursor {
         if interval == 0 || !index.is_multiple_of(interval) {
             return None;
         }
-        let entry = *self.reader.checkpoints.get((index / interval) as usize)?;
-        read_chunk(
-            &mut self.file,
-            &entry,
-            &mut self.comp_buf,
-            &mut self.raw_buf,
-        )
-        .and_then(|()| {
-            let mut bytes = Bytes::new(&self.raw_buf);
-            let state = decode_state(&mut bytes)?;
-            bytes.expect_end()?;
-            Ok(state)
-        })
-        .map(Some)
-        .unwrap_or_else(|e| {
-            panic!(
-                "trace file {} was modified while in use: {e}",
-                self.reader.path.display()
-            )
-        })
+        let entry = self.reader.checkpoints.get((index / interval) as usize)?;
+        let state = self
+            .reader
+            .read_state(entry, &mut self.comp_buf, &mut self.raw_buf)
+            .unwrap_or_else(|e| self.reader.modified_in_use(e));
+        Some(state)
     }
 
     fn slot_for(&mut self, program: &Program, block: u32) -> usize {
@@ -1377,7 +1309,7 @@ impl TraceCursor {
         };
         let entry = self.reader.blocks[block as usize];
         read_chunk(
-            &mut self.file,
+            &self.reader.file,
             &entry.chunk(),
             &mut self.comp_buf,
             &mut self.raw_buf,
@@ -1391,28 +1323,15 @@ impl TraceCursor {
                 &mut self.slots[i].records,
             )
         })
-        .unwrap_or_else(|e| {
-            panic!(
-                "trace file {} was modified while in use: {e}",
-                self.reader.path.display()
-            )
-        });
+        .unwrap_or_else(|e| self.reader.modified_in_use(e));
         i
     }
 }
 
 impl Clone for TraceCursor {
-    /// Cloning opens a fresh file handle with an empty decode window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file can no longer be opened (it was verified openable
-    /// when the reader was created, so failure means it was removed or made
-    /// unreadable underneath us).
+    /// A clone shares the reader's file handle, with an empty decode window.
     fn clone(&self) -> Self {
-        self.reader
-            .cursor()
-            .unwrap_or_else(|e| panic!("reopening trace file {}: {e}", self.reader.path.display()))
+        TraceCursor::new(Arc::clone(&self.reader))
     }
 }
 
@@ -1791,48 +1710,11 @@ mod tests {
         write_trace_to_path(tmp.path(), &p, &trace).unwrap();
         let reader = TraceReader::open(tmp.path(), &p).unwrap();
         assert_eq!(reader.meta().version, TRACE_FORMAT_VERSION);
-        let stored = reader.read_bbvs().unwrap().expect("v2 files store BBVs");
+        let stored = reader
+            .read_bbvs()
+            .unwrap()
+            .expect("checkpointed files store BBVs");
         assert_eq!(stored.as_slice(), trace.bbvs());
-    }
-
-    #[test]
-    fn version_1_files_are_still_read_with_derived_bbvs() {
-        let p = full_coverage_kernel();
-        let trace = Trace::capture_with_checkpoints(&p, 10_000, 16);
-        let tmp = TempFile::new("v1compat");
-        {
-            let mut writer = TraceWriter::with_format_version(
-                tmp.path(),
-                &p,
-                trace.checkpoint_interval(),
-                DEFAULT_BLOCK_RECORDS,
-                1,
-            )
-            .unwrap();
-            for state in trace.checkpoints() {
-                writer.add_checkpoint(state);
-            }
-            for bbv in trace.bbvs() {
-                writer.add_bbv(bbv); // dropped: v1 has nowhere to put them
-            }
-            for rec in trace.records() {
-                writer.append(rec).unwrap();
-            }
-            writer
-                .finish(trace.end_state(), trace.is_complete())
-                .unwrap();
-        }
-        let reader = TraceReader::open(tmp.path(), &p).unwrap();
-        assert_eq!(reader.meta().version, 1);
-        assert_eq!(
-            reader.read_bbvs().unwrap(),
-            None,
-            "v1 files store no BBV chunk"
-        );
-        // The decoded trace still carries BBVs (derived from the records),
-        // bit-identical to what a v2 capture stores.
-        let decoded = reader.read_trace(&p).unwrap();
-        assert_traces_identical(&trace, &decoded);
     }
 
     #[test]
@@ -1841,18 +1723,21 @@ mod tests {
         let trace = Trace::capture(&p, 100);
         let tmp = TempFile::new("future");
         write_trace_to_path(tmp.path(), &p, &trace).unwrap();
-        let mut bytes = std::fs::read(tmp.path()).unwrap();
-        bytes[8..12].copy_from_slice(&(TRACE_FORMAT_VERSION + 1).to_le_bytes());
-        // Refresh the file checksum so only the version field is at fault.
-        let hash = fnv1a(FNV_OFFSET, &bytes[..bytes.len() - 16]);
-        let checksum_at = bytes.len() - 16;
-        bytes[checksum_at..checksum_at + 8].copy_from_slice(&hash.to_le_bytes());
-        let victim = TempFile::new("future-victim");
-        std::fs::write(victim.path(), &bytes).unwrap();
-        assert!(matches!(
-            TraceReader::open_unchecked(victim.path()),
-            Err(TraceFileError::Version { found }) if found == TRACE_FORMAT_VERSION + 1
-        ));
+        // Version 1 (no BBV chunk) is as unsupported as a future version.
+        for version in [1, TRACE_FORMAT_VERSION + 1] {
+            let mut bytes = std::fs::read(tmp.path()).unwrap();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            // Refresh the file checksum so only the version field is at fault.
+            let hash = fnv1a(FNV_OFFSET, &bytes[..bytes.len() - 16]);
+            let checksum_at = bytes.len() - 16;
+            bytes[checksum_at..checksum_at + 8].copy_from_slice(&hash.to_le_bytes());
+            let victim = TempFile::new("future-victim");
+            std::fs::write(victim.path(), &bytes).unwrap();
+            assert!(matches!(
+                TraceReader::open_unchecked(victim.path()),
+                Err(TraceFileError::Version { found }) if found == version
+            ));
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ baseline and fails on:
     serves a fresh process entirely from disk), or
   * the experiment journal breaking its guarantees:
     `journal.journal_overhead_vs_warm_store_pct` above
-    JOURNAL_MAX_OVERHEAD_PCT (the per-cell WAL/cell-file write path must
+    JOURNAL_MAX_OVERHEAD_PCT (the per-cell cell-file commit path must
     stay cheap relative to simulation), `journal.resumed_recomputed_cells`
     nonzero, or `journal.resumed_replayed_cells` short of the sweep's cell
     count (a resume over a complete journal must replay everything and
@@ -59,10 +59,10 @@ import sys
 # exact because simulation is deterministic.
 SAMPLED_MIN_SPEEDUP = 4.0
 SAMPLED_MAX_ERROR_PCT = 2.0
-# The journal acceptance criterion: one fsync'd WAL record plus one cell
-# file per cell must cost < 2% of the sweep it protects at the reference
-# 2M-instruction budget (both sides of the ratio are warm-store sequential
-# passes, so the comparison isolates the journal's write path).
+# The journal acceptance criterion: one fsync'd, renamed cell file (plus a
+# directory fsync) per cell must cost < 2% of the sweep it protects at the
+# reference 2M-instruction budget (both sides of the ratio are warm-store
+# sequential passes, so the comparison isolates the journal's write path).
 JOURNAL_MAX_OVERHEAD_PCT = 2.0
 # The adaptive plan must land its achieved worst-cell IPC relative standard
 # error within 20% of the requested target (it may run out of windows on a
