@@ -119,10 +119,11 @@ fn main() {
     });
     let budget = config.instructions;
     // Large budgets need room for each kernel's plain AND checkpointed
-    // trace (~104 B/record each) or the warm/sampled passes thrash the LRU
-    // cache with re-captures and the numbers measure eviction, not
-    // simulation.
-    let trace_bytes_needed = 3 * (budget as usize + 4_096) * 104 * 2 * 6 / 5;
+    // trace (one packed record per instruction each, plus checkpoints) or
+    // the warm/sampled passes thrash the LRU cache with re-captures and the
+    // numbers measure eviction, not simulation.
+    let trace_bytes_needed =
+        3 * (budget as usize + 4_096) * msp_isa::PACKED_RECORD_BYTES * 2 * 6 / 5;
     config.trace_cache_bytes = config.trace_cache_bytes.max(trace_bytes_needed);
     let host_threads = std::thread::available_parallelism()
         .map(|n| n.get())

@@ -75,8 +75,8 @@ pub const DEFAULT_SAMPLE_INTERVAL: u64 = 250_000;
 /// relative standard error reaches 2%.
 pub const DEFAULT_SAMPLE_TARGET_STDERR: f64 = 0.02;
 
-/// Default trace-cache byte budget: room for a handful of 200k-instruction
-/// traces (~20 MiB each) or dozens of 20k ones.
+/// Default trace-cache byte budget: room for dozens of 200k-instruction
+/// traces (~5 MiB each) or a few 2M ones (~46 MiB each).
 pub const DEFAULT_TRACE_CACHE_BYTES: usize = 256 * 1024 * 1024;
 
 /// Extra records a cached trace materialises beyond the requested budget.
@@ -676,6 +676,10 @@ impl Lab {
         }
         let program = workload.program();
         let budget = instructions.saturating_add(TRACE_MARGIN);
+        // The estimate is deliberately the *decoded* record size, about four
+        // times the packed record a `Trace` holds: checkpoint heaps are
+        // unknown before capture (mcf's are 4 MiB each), and the headroom
+        // stands in for them.
         let estimated_bytes = budget.saturating_mul(std::mem::size_of::<ExecutedInst>() as u64);
         let stream = allow_streaming
             && self.store.is_some()

@@ -1081,7 +1081,7 @@ mod tests {
         let p = two_phase_program(50);
         let trace = Trace::capture(&p, 100);
         for rec in trace.records() {
-            acc.observe(rec);
+            acc.observe(&rec);
         }
         let one = acc.finish().into_iter().next().unwrap();
         let bbvs = vec![one; 5];
@@ -1145,7 +1145,7 @@ mod tests {
                     let p = Program::new(insts);
                     let budget = 1 + splitmix64(&mut acc_rng) % 200;
                     for rec in Trace::capture(&p, budget).records() {
-                        acc.observe(rec);
+                        acc.observe(&rec);
                     }
                     acc.finish().into_iter().next().unwrap()
                 })

@@ -189,9 +189,9 @@ fn streaming_runs_are_bit_identical_to_materialised_runs() {
     }
 }
 
-/// The acceptance-criterion budget: a 20M-instruction run — whose
-/// materialised trace (~2.2 GiB) cannot fit the default 256 MiB memory
-/// tier — completes through the streaming cursor with the memory tier
+/// The acceptance-criterion budget: a 20M-instruction run — whose trace
+/// (~2 GiB by the decoded-record estimate the streaming decision uses)
+/// cannot fit the default 256 MiB memory tier — completes through the streaming cursor with the memory tier
 /// never exceeding its bound. Release-only (`--include-ignored` in CI's
 /// bench-smoke job): the capture plus simulation take minutes in debug.
 #[test]
@@ -221,7 +221,7 @@ fn twenty_million_instruction_budget_streams_within_default_lru_bound() {
         stats.committed
     );
     // The on-disk acceptance bound: the compressed file is at most 1/8 of
-    // the trace's in-memory footprint.
+    // the trace's decoded size.
     let entry = &lab.trace_store().unwrap().entries().unwrap()[0];
     let in_memory = (BUDGET + 4_096) * std::mem::size_of::<msp_isa::ExecutedInst>() as u64;
     assert!(

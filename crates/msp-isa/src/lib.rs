@@ -40,6 +40,7 @@ mod exec;
 mod inst;
 mod memory;
 mod program;
+mod record;
 mod reg;
 mod state;
 mod trace;
@@ -50,9 +51,10 @@ pub use exec::{execute_at, execute_step, ExecError, ExecutedInst};
 pub use inst::{BranchCond, FuClass, Instruction, MemWidth, Opcode};
 pub use memory::Memory;
 pub use program::{Program, TEXT_BASE};
+pub use record::{PackedInst, PACKED_RECORD_BYTES};
 pub use reg::{ArchReg, RegClass, NUM_FP_REGS, NUM_INT_REGS, NUM_LOGICAL_REGS};
 pub use state::ArchState;
-pub use trace::{BbvAccumulator, BbvSignature, Trace, TraceBuilder};
+pub use trace::{BbvAccumulator, BbvSignature, RecordIter, Records, Trace, TraceBuilder};
 pub use tracefile::{
     capture_trace_to_path, program_fingerprint, read_trace_meta, write_trace_to_path, TraceCursor,
     TraceFileError, TraceFileMeta, TraceReader, TraceWriter, DEFAULT_BLOCK_RECORDS,

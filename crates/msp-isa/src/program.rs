@@ -102,6 +102,12 @@ impl Program {
         pc >= TEXT_BASE && pc.is_multiple_of(4) && ((pc - TEXT_BASE) / 4) < self.text.len() as u64
     }
 
+    /// The text segment: the instruction at index `i` lives at
+    /// [`Program::address_of`]`(i)`.
+    pub(crate) fn text(&self) -> &[Instruction] {
+        &self.text
+    }
+
     /// Fetches the instruction at `pc`, or `None` if `pc` is outside the text
     /// segment (including misaligned addresses).
     pub fn fetch(&self, pc: u64) -> Option<Instruction> {

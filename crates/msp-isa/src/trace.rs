@@ -5,8 +5,12 @@
 //! `(program, max_instructions)` pair, materialised once by the functional
 //! executor and then shared **read-only** across any number of timing
 //! simulators, predictors and sweep threads (typically as an
-//! `Arc<Trace>`). Reading a record is a bounds-checked slice access; no
-//! functional re-execution and no per-consumer copies are involved.
+//! `Arc<Trace>`). Records are held as 24-byte [`PackedInst`]s (PC text
+//! index, taken bit, address/target word, value word) next to a copy of the
+//! program text; reading one is a bounds-checked slice access plus a
+//! rebuild of the derived fields, returning the full `ExecutedInst` by
+//! value. No functional re-execution and no per-consumer copies are
+//! involved.
 //!
 //! Because a timing simulator may fetch slightly past the materialised end
 //! (its front end runs ahead of commit), a trace also snapshots the
@@ -33,9 +37,12 @@
 //! ```
 
 use crate::exec::{execute_step, ExecError, ExecutedInst};
+use crate::inst::Instruction;
 use crate::program::Program;
+use crate::record::{PackedInst, PACKED_RECORD_BYTES};
 use crate::state::ArchState;
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// The basic-block vector (BBV) of one trace interval: how many committed
 /// instructions the interval spent in each basic block, keyed by the block's
@@ -161,9 +168,11 @@ impl BbvAccumulator {
 /// simulation resume detailed measurement mid-trace
 /// (`Simulator::resume_from` in `msp-pipeline`) without replaying the
 /// prefix in detail.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
-    records: Vec<ExecutedInst>,
+    /// The program's text segment, which every record is unpacked against.
+    text: Box<[Instruction]>,
+    records: Vec<PackedInst>,
     end_state: ArchState,
     complete: bool,
     /// Committed instructions between checkpoints (`0` = no checkpoints).
@@ -209,6 +218,7 @@ impl Trace {
     /// a private (non-shared) oracle is expressed in trace terms.
     pub fn empty(program: &Program) -> Trace {
         Trace {
+            text: program.text().into(),
             records: Vec::new(),
             end_state: ArchState::new(program),
             complete: false,
@@ -219,14 +229,19 @@ impl Trace {
     }
 
     /// The materialised records, in dynamic program order.
-    pub fn records(&self) -> &[ExecutedInst] {
-        &self.records
+    pub fn records(&self) -> Records<'_> {
+        Records {
+            text: &self.text,
+            packed: &self.records,
+        }
     }
 
     /// The record at dynamic index `index`, if materialised.
     #[inline]
-    pub fn get(&self, index: u64) -> Option<&ExecutedInst> {
-        self.records.get(index as usize)
+    pub fn get(&self, index: u64) -> Option<ExecutedInst> {
+        self.records
+            .get(index as usize)
+            .map(|p| p.unpack_with(&self.text))
     }
 
     /// Number of materialised records.
@@ -274,8 +289,8 @@ impl Trace {
     ///
     /// The defining invariant — pinned by the `msp-isa` tests and
     /// `debug_assert`ed by `Simulator::resume_from` — is that functional
-    /// execution from `checkpoint_at(k)` reproduces `records()[k..]`
-    /// bit-identically.
+    /// execution from `checkpoint_at(k)` reproduces the records from index
+    /// `k` on bit-identically.
     pub fn checkpoint_at(&self, index: u64) -> Option<&ArchState> {
         if self.checkpoint_interval == 0 || !index.is_multiple_of(self.checkpoint_interval) {
             return None;
@@ -294,13 +309,14 @@ impl Trace {
         &self.bbvs
     }
 
-    /// Reassembles a trace from its raw components (the trace-file decoder).
-    /// The caller vouches for the invariants a capture would have
-    /// established: records form a committed-path chain, `end_state` sits
-    /// immediately after the last record, and `checkpoints[i]` is the state
-    /// before record `i * checkpoint_interval`.
+    /// Reassembles a trace of `program` from its raw components (the
+    /// trace-file decoder). The caller vouches for the invariants a capture
+    /// would have established: records form a committed-path chain,
+    /// `end_state` sits immediately after the last record, and
+    /// `checkpoints[i]` is the state before record `i * checkpoint_interval`.
     pub(crate) fn from_parts(
-        records: Vec<ExecutedInst>,
+        program: &Program,
+        records: Vec<PackedInst>,
         end_state: ArchState,
         complete: bool,
         checkpoint_interval: u64,
@@ -308,6 +324,7 @@ impl Trace {
         bbvs: Vec<BbvSignature>,
     ) -> Trace {
         Trace {
+            text: program.text().into(),
             records,
             end_state,
             complete,
@@ -322,8 +339,9 @@ impl Trace {
         &self.checkpoints
     }
 
-    /// Approximate resident size of the trace in bytes: the record storage
-    /// plus the **full heap** of the end-state snapshot and of every
+    /// Approximate resident size of the trace in bytes: the packed record
+    /// storage and the program text plus the **full heap** of the end-state
+    /// snapshot and of every
     /// checkpoint — each `ArchState`'s inline storage (register file, PC)
     /// *and* its data memory's page payloads plus page-table heap
     /// ([`crate::Memory::footprint_bytes`]). Byte-bounded consumers (the
@@ -331,7 +349,8 @@ impl Trace {
     /// a checkpoint's heap would let checkpoint-heavy traces exceed the
     /// configured bound.
     pub fn footprint_bytes(&self) -> usize {
-        self.records.capacity() * std::mem::size_of::<ExecutedInst>()
+        self.records.capacity() * PACKED_RECORD_BYTES
+            + std::mem::size_of_val::<[Instruction]>(&self.text)
             + std::mem::size_of::<Self>()
             + self.end_state.memory().footprint_bytes()
             + self.checkpoints.capacity() * std::mem::size_of::<ArchState>()
@@ -349,6 +368,68 @@ impl Trace {
     }
 }
 
+/// A borrowed view of a [`Trace`]'s records, in dynamic program order.
+///
+/// The trace stores its records packed, so the view yields each full
+/// [`ExecutedInst`] **by value**, rebuilt from the program text.
+#[derive(Clone, Copy)]
+pub struct Records<'t> {
+    text: &'t [Instruction],
+    packed: &'t [PackedInst],
+}
+
+impl<'t> Records<'t> {
+    /// Iterates over the records by value.
+    pub fn iter(&self) -> RecordIter<'t> {
+        RecordIter {
+            text: self.text,
+            packed: self.packed.iter(),
+        }
+    }
+}
+
+impl<'t> IntoIterator for Records<'t> {
+    type Item = ExecutedInst;
+    type IntoIter = RecordIter<'t>;
+
+    fn into_iter(self) -> RecordIter<'t> {
+        self.iter()
+    }
+}
+
+impl PartialEq for Records<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for Records<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over a [`Records`] view, yielding each [`ExecutedInst`] by
+/// value.
+#[derive(Debug, Clone)]
+pub struct RecordIter<'t> {
+    text: &'t [Instruction],
+    packed: std::slice::Iter<'t, PackedInst>,
+}
+
+impl Iterator for RecordIter<'_> {
+    type Item = ExecutedInst;
+
+    #[inline]
+    fn next(&mut self) -> Option<ExecutedInst> {
+        self.packed.next().map(|p| p.unpack_with(self.text))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.packed.size_hint()
+    }
+}
+
 /// Incremental constructor of a [`Trace`] on top of [`execute_step`].
 ///
 /// The builder owns a private [`ArchState`] and appends one record per
@@ -359,7 +440,7 @@ impl Trace {
 pub struct TraceBuilder<'p> {
     program: &'p Program,
     state: ArchState,
-    records: Vec<ExecutedInst>,
+    records: Vec<PackedInst>,
     complete: bool,
     checkpoint_interval: u64,
     checkpoints: Vec<ArchState>,
@@ -444,7 +525,7 @@ impl<'p> TraceBuilder<'p> {
                 if rec.halted {
                     self.complete = true;
                 }
-                self.records.push(rec);
+                self.records.push(PackedInst::pack(&rec));
                 true
             }
             Err(ExecError::Halted) | Err(ExecError::OutOfRange(_)) => {
@@ -471,6 +552,7 @@ impl<'p> TraceBuilder<'p> {
         let mut records = self.records;
         records.shrink_to_fit();
         Trace {
+            text: self.program.text().into(),
             records,
             end_state: self.state,
             complete: self.complete,
@@ -506,7 +588,7 @@ mod tests {
         assert_eq!(trace.len(), 8);
         assert!(trace.is_complete());
         assert!(!trace.is_empty());
-        assert!(trace.records().last().unwrap().halted);
+        assert!(trace.get(7).unwrap().halted);
         assert!(trace.get(8).is_none());
         assert!(trace.end_state().is_halted());
     }
@@ -523,7 +605,7 @@ mod tests {
         let mut tail_state = trace.end_state().clone();
         for i in 100..150 {
             let rec = execute_step(&mut tail_state, &p).unwrap();
-            assert_eq!(&rec, longer.get(i).unwrap(), "lazy-extension invariant");
+            assert_eq!(rec, longer.get(i).unwrap(), "lazy-extension invariant");
         }
     }
 
@@ -668,7 +750,7 @@ mod tests {
         let trace = Trace::capture_with_checkpoints(&p, 333, 64);
         let mut acc = BbvAccumulator::new(64);
         for rec in trace.records() {
-            acc.observe(rec);
+            acc.observe(&rec);
         }
         assert_eq!(
             acc.finish(),
@@ -681,8 +763,15 @@ mod tests {
     fn footprint_accounts_for_records() {
         let p = counted_loop(64);
         let trace = Trace::capture(&p, 1_000);
-        let per_record = std::mem::size_of::<ExecutedInst>();
-        assert!(trace.footprint_bytes() >= trace.len() as usize * per_record);
+        // Records are held packed: the footprint charges exactly the packed
+        // size per record on top of the fixed parts (the trace itself, the
+        // program text and the end state's memory), no more, no less.
+        let records = trace.len() as usize * PACKED_RECORD_BYTES;
+        let fixed = std::mem::size_of::<Trace>()
+            + std::mem::size_of_val::<[Instruction]>(&trace.text)
+            + trace.end_state().memory().footprint_bytes();
+        assert!(trace.footprint_bytes() >= records);
+        assert!(trace.footprint_bytes() <= records + fixed);
     }
 
     #[test]
@@ -777,7 +866,7 @@ mod tests {
             }
             prop_assert_eq!(trace.len(), reference.len() as u64);
             for (i, rec) in reference.iter().enumerate() {
-                prop_assert_eq!(trace.get(i as u64).unwrap(), rec);
+                prop_assert_eq!(&trace.get(i as u64).unwrap(), rec);
             }
             // The end state resumes where the reference stopped.
             prop_assert_eq!(trace.end_state().pc(), state.pc());
@@ -801,7 +890,7 @@ mod tests {
                 let mut state = checkpoint.clone();
                 for i in index..trace.len() {
                     let rec = execute_step(&mut state, &program).unwrap();
-                    prop_assert_eq!(&rec, trace.get(i).unwrap());
+                    prop_assert_eq!(rec, trace.get(i).unwrap());
                 }
                 index += interval;
             }

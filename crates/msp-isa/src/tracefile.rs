@@ -3,11 +3,13 @@
 //! A trace file is the on-disk form of a [`Trace`]: the same committed-path
 //! record stream, architectural checkpoints and end state, but delta/varint
 //! bit-packed and LZ-compressed so a multi-million-instruction workload costs
-//! a few bytes per record instead of `size_of::<ExecutedInst>()`. Files are
-//! written once (append-only) and then read either wholesale
-//! ([`TraceReader::read_trace`]) or incrementally through a [`TraceCursor`],
-//! which decodes one block at a time into a small reusable window — the path
-//! that lets a simulation iterate a trace far larger than RAM.
+//! a few bytes per record instead of the in-memory trace's
+//! [`crate::PACKED_RECORD_BYTES`]. Files are written once (append-only) and
+//! then read either wholesale ([`TraceReader::read_trace`], which decodes
+//! straight into packed records) or incrementally through a
+//! [`TraceCursor`], which decodes one block at a time into a small reusable
+//! window of full [`ExecutedInst`]s — the path that lets a simulation
+//! iterate a trace far larger than RAM.
 //!
 //! # Format (version 2)
 //!
@@ -41,15 +43,18 @@
 //! Records do not store their instruction: the decoder re-fetches it from the
 //! [`Program`], whose identity is pinned by a stable [`program_fingerprint`]
 //! in the header. Within a block, a record stores only what cannot be derived
-//! from the instruction and the running PC chain — a taken flag for
-//! conditional branches, an indirect target, a zigzag delta-coded effective
-//! address, and result values as varints (byte-swapped for floating-point
-//! bit patterns, whose high bits are the informative ones).
+//! from the instruction and the running PC chain — the same payload the
+//! in-memory [`crate::PackedInst`] keeps, split off by the same function: a
+//! taken flag for conditional branches, an indirect target, a zigzag
+//! delta-coded effective address, and result values as varints
+//! (byte-swapped for floating-point bit patterns, whose high bits are the
+//! informative ones).
 
 use crate::exec::{execute_step, ExecutedInst};
-use crate::inst::{BranchCond, Opcode};
+use crate::inst::{BranchCond, Instruction, Opcode};
 use crate::memory::{Memory, PAGE_SIZE};
 use crate::program::Program;
+use crate::record::{next_pc, PackedInst, Payload, PayloadShape};
 use crate::reg::{RegClass, NUM_FP_REGS, NUM_INT_REGS};
 use crate::state::ArchState;
 use crate::trace::{BbvAccumulator, BbvSignature, Trace};
@@ -66,9 +71,12 @@ pub const TRACE_FORMAT_VERSION: u32 = 2;
 
 /// Default number of records per compressed block.
 ///
-/// At 8192 records a decoded block is ~900 KiB of `ExecutedInst`, and the
-/// cursor's four-slot window comfortably covers the timing simulator's
-/// bounded lookbehind while keeping per-block decode latency small.
+/// A [`TraceCursor`] decodes a block into full `ExecutedInst`s, so at 8192
+/// records one window slot is ~830 KiB (104 bytes a record); the cursor's
+/// four-slot window comfortably covers the timing simulator's bounded
+/// lookbehind while keeping per-block decode latency small.
+/// [`TraceReader::read_trace`] decodes block by block straight into 24-byte
+/// packed records and holds no decoded block.
 pub const DEFAULT_BLOCK_RECORDS: u32 = 8192;
 
 const MAGIC: &[u8; 8] = b"MSPTRACE";
@@ -316,135 +324,87 @@ pub fn program_fingerprint(program: &Program) -> u64 {
 // record codec
 // ---------------------------------------------------------------------------
 //
-// Everything not written here is derived at decode time: the instruction from
-// `program.fetch(pc)`, the PC from the previous record's `next_pc` (the first
-// PC of each block lives in the index), `taken`/`halted` from the opcode, and
-// a call's dest value from its fall-through address.
+// A record is written as its `Payload`, field by field as its `PayloadShape`
+// says, and rebuilt with `ExecutedInst::from_payload`: the instruction comes
+// from `program.fetch(pc)`, the PC from the previous record's next PC (the
+// first PC of each block lives in the index). Effective addresses are zigzag
+// delta-coded against the block's previous one; values are varints,
+// byte-swapped for floating-point bit patterns, whose high bits are the
+// informative ones.
 
-fn encode_record(buf: &mut Vec<u8>, prev_mem: &mut u64, rec: &ExecutedInst) {
-    let inst = rec.inst;
-    match inst.opcode() {
-        Opcode::Branch(_) => buf.push(u8::from(rec.taken)),
-        Opcode::JumpIndirect | Opcode::Ret => put_varint(buf, rec.next_pc),
-        _ => {}
+fn encode_record(buf: &mut Vec<u8>, prev_mem: &mut u64, inst: &Instruction, p: Payload) {
+    let shape = PayloadShape::of(inst);
+    if shape.taken {
+        buf.push(u8::from(p.taken));
     }
-    if let Some(addr) = rec.mem_addr {
-        put_varint(buf, zigzag(addr.wrapping_sub(*prev_mem) as i64));
-        *prev_mem = addr;
+    if shape.target {
+        put_varint(buf, p.a);
     }
-    if let Some(dest) = inst.dest() {
-        if !inst.is_call() {
-            let v = rec
-                .dest_value
-                .expect("a non-call instruction with a destination writes a value");
-            let v = if dest.class() == RegClass::Fp {
-                // FP bit patterns carry their information in the high bits;
-                // byte-swapping turns them into short varints.
-                v.swap_bytes()
-            } else {
-                v
-            };
-            put_varint(buf, v);
-        }
+    if shape.addr {
+        put_varint(buf, zigzag(p.a.wrapping_sub(*prev_mem) as i64));
+        *prev_mem = p.a;
     }
-    if let Some(v) = rec.store_value {
-        let fp = inst.src2().map(|r| r.class()) == Some(RegClass::Fp);
-        put_varint(buf, if fp { v.swap_bytes() } else { v });
+    if let Some(class) = shape.value {
+        put_varint(buf, value_bits(class, p.b));
     }
 }
 
-fn decode_record(
-    program: &Program,
+/// The varint-friendly form of a value of register class `class` (an
+/// involution: it also undoes itself).
+fn value_bits(class: RegClass, v: u64) -> u64 {
+    if class == RegClass::Fp {
+        v.swap_bytes()
+    } else {
+        v
+    }
+}
+
+fn decode_payload(
     bytes: &mut Bytes<'_>,
-    pc: u64,
+    inst: &Instruction,
     prev_mem: &mut u64,
-) -> Result<ExecutedInst, TraceFileError> {
-    let inst = program
-        .fetch(pc)
-        .ok_or_else(|| corrupt(format!("record pc {pc:#x} is outside the text segment")))?;
-    let fallthrough = pc.wrapping_add(4);
-    let mut taken = false;
-    let mut halted = false;
-    let next_pc = match inst.opcode() {
-        Opcode::Branch(_) => {
-            taken = match bytes.u8()? {
-                0 => false,
-                1 => true,
-                v => return Err(corrupt(format!("invalid branch-taken byte {v}"))),
-            };
-            if taken {
-                inst.target().expect("conditional branches carry a target")
-            } else {
-                fallthrough
-            }
-        }
-        Opcode::Jump | Opcode::Call => {
-            taken = true;
-            inst.target().expect("jumps and calls carry a target")
-        }
-        Opcode::JumpIndirect | Opcode::Ret => {
-            taken = true;
-            bytes.varint()?
-        }
-        Opcode::Halt => {
-            halted = true;
-            pc
-        }
-        _ => fallthrough,
-    };
-    let mem_addr = if inst.is_mem() {
-        let addr = prev_mem.wrapping_add(unzigzag(bytes.varint()?) as u64);
-        *prev_mem = addr;
-        Some(addr)
-    } else {
-        None
-    };
-    let dest_value = match inst.dest() {
-        None => None,
-        Some(_) if inst.is_call() => Some(fallthrough),
-        Some(dest) => {
-            let v = bytes.varint()?;
-            Some(if dest.class() == RegClass::Fp {
-                v.swap_bytes()
-            } else {
-                v
-            })
-        }
-    };
-    let store_value = if inst.is_store() {
-        let v = bytes.varint()?;
-        let fp = inst.src2().map(|r| r.class()) == Some(RegClass::Fp);
-        Some(if fp { v.swap_bytes() } else { v })
-    } else {
-        None
-    };
-    Ok(ExecutedInst {
-        pc,
-        inst,
-        next_pc,
-        taken,
-        mem_addr,
-        dest_value,
-        store_value,
-        halted,
-    })
+) -> Result<Payload, TraceFileError> {
+    let shape = PayloadShape::of(inst);
+    let mut p = Payload::default();
+    if shape.taken {
+        p.taken = match bytes.u8()? {
+            0 => false,
+            1 => true,
+            v => return Err(corrupt(format!("invalid branch-taken byte {v}"))),
+        };
+    }
+    if shape.target {
+        p.a = bytes.varint()?;
+    }
+    if shape.addr {
+        p.a = prev_mem.wrapping_add(unzigzag(bytes.varint()?) as u64);
+        *prev_mem = p.a;
+    }
+    if let Some(class) = shape.value {
+        p.b = value_bits(class, bytes.varint()?);
+    }
+    Ok(p)
 }
 
+/// Decodes one block of `records` records starting at `first_pc`, handing
+/// each record's PC, instruction and payload to `emit` in order.
 fn decode_block(
     program: &Program,
     raw: &[u8],
     first_pc: u64,
     records: u32,
-    out: &mut Vec<ExecutedInst>,
+    mut emit: impl FnMut(u64, Instruction, Payload),
 ) -> Result<(), TraceFileError> {
     let mut bytes = Bytes::new(raw);
     let mut pc = first_pc;
     let mut prev_mem = 0u64;
-    out.reserve(records as usize);
     for _ in 0..records {
-        let rec = decode_record(program, &mut bytes, pc, &mut prev_mem)?;
-        pc = rec.next_pc;
-        out.push(rec);
+        let inst = program
+            .fetch(pc)
+            .ok_or_else(|| corrupt(format!("record pc {pc:#x} is outside the text segment")))?;
+        let payload = decode_payload(&mut bytes, &inst, &mut prev_mem)?;
+        emit(pc, inst, payload);
+        pc = next_pc(pc, &inst, payload);
     }
     bytes.expect_end()
 }
@@ -692,7 +652,12 @@ impl TraceWriter {
             self.prev_mem_addr = 0;
             self.block_buf.clear();
         }
-        encode_record(&mut self.block_buf, &mut self.prev_mem_addr, rec);
+        encode_record(
+            &mut self.block_buf,
+            &mut self.prev_mem_addr,
+            &rec.inst,
+            rec.payload(),
+        );
         self.pending += 1;
         self.record_count += 1;
         if self.pending == self.block_records {
@@ -1100,7 +1065,9 @@ impl TraceReader {
         let mut records = Vec::with_capacity(self.meta.record_count as usize);
         for b in &self.blocks {
             read_chunk(file, &b.chunk(), &mut comp, &mut raw)?;
-            decode_block(program, &raw, b.first_pc, b.records, &mut records)?;
+            decode_block(program, &raw, b.first_pc, b.records, |pc, _, payload| {
+                records.push(PackedInst::new(pc, payload));
+            })?;
         }
         let mut checkpoints = Vec::with_capacity(self.checkpoints.len());
         for c in &self.checkpoints {
@@ -1108,6 +1075,7 @@ impl TraceReader {
         }
         let end_state = self.read_state(&self.end, &mut comp, &mut raw)?;
         Ok(Trace::from_parts(
+            program,
             records,
             end_state,
             self.meta.complete,
@@ -1315,12 +1283,14 @@ impl TraceCursor {
             &mut self.raw_buf,
         )
         .and_then(|()| {
+            let records = &mut self.slots[i].records;
+            records.reserve(entry.records as usize);
             decode_block(
                 program,
                 &self.raw_buf,
                 entry.first_pc,
                 entry.records,
-                &mut self.slots[i].records,
+                |pc, inst, payload| records.push(ExecutedInst::from_payload(pc, inst, payload)),
             )
         })
         .unwrap_or_else(|e| self.reader.modified_in_use(e));
@@ -1353,7 +1323,7 @@ pub fn write_trace_to_path(
         writer.add_bbv(bbv);
     }
     for rec in trace.records() {
-        writer.append(rec)?;
+        writer.append(&rec)?;
     }
     writer.finish(trace.end_state(), trace.is_complete())
 }
@@ -1807,7 +1777,7 @@ mod tests {
                 writer.add_checkpoint(state);
             }
             for rec in trace.records() {
-                writer.append(rec).unwrap();
+                writer.append(&rec).unwrap();
             }
             writer
                 .finish(trace.end_state(), trace.is_complete())
@@ -1826,7 +1796,11 @@ mod tests {
         // Sequential scan, then a deterministic pseudo-random access pattern
         // that hops across blocks (forcing evictions), then lookbehind.
         for i in 0..trace.len() {
-            assert_eq!(cursor.get(&p, i), trace.get(i), "sequential index {i}");
+            assert_eq!(
+                cursor.get(&p, i),
+                trace.get(i).as_ref(),
+                "sequential index {i}"
+            );
         }
         let mut x = 0x2545_f491_4f6c_dd1du64;
         for _ in 0..500 {
@@ -1834,7 +1808,7 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             let i = x % (trace.len() + 8);
-            assert_eq!(cursor.get(&p, i), trace.get(i), "random index {i}");
+            assert_eq!(cursor.get(&p, i), trace.get(i).as_ref(), "random index {i}");
         }
         assert!(cursor.get(&p, trace.len()).is_none());
         assert_eq!(cursor.end_state(), trace.end_state());
@@ -1849,7 +1823,7 @@ mod tests {
 
         // A clone starts cold but reads the same data.
         let mut clone = cursor.clone();
-        assert_eq!(clone.get(&p, 0), trace.get(0));
+        assert_eq!(clone.get(&p, 0), trace.get(0).as_ref());
         assert_eq!(clone.end_state(), trace.end_state());
     }
 
@@ -1930,7 +1904,7 @@ mod tests {
                     writer.add_checkpoint(state);
                 }
                 for rec in trace.records() {
-                    writer.append(rec).unwrap();
+                    writer.append(&rec).unwrap();
                 }
                 writer.finish(trace.end_state(), trace.is_complete()).unwrap();
             }

@@ -14,26 +14,29 @@
 //! [`Arc<Trace>`] (the materialised committed-path prefix, shared
 //! **read-only** across every machine, predictor and sweep thread simulating
 //! the same workload, where [`Oracle::get`] on the hot fetch path is a
-//! bounds-checked slice read) or a streaming [`TraceCursor`] over an on-disk
-//! compressed trace file, which decodes one block at a time so instruction
-//! budgets far larger than RAM simulate in bounded memory. Only if the
-//! simulator fetches *past* the materialised end does the oracle lazily
-//! extend — it clones the trace's end state once and continues functional
-//! execution into a small private tail, which by determinism of the
-//! functional model yields exactly the records a longer capture would have
-//! produced.
+//! bounds-checked slice read plus the rebuild of one packed record) or a
+//! streaming [`TraceCursor`] over an on-disk compressed trace file, which
+//! decodes one block at a time so instruction budgets far larger than RAM
+//! simulate in bounded memory. Only if the simulator fetches *past* the
+//! materialised end does the oracle lazily extend — it clones the trace's
+//! end state once and continues functional execution into a private tail of
+//! packed records, which by determinism of the functional model yields
+//! exactly the records a longer capture would have produced.
 
-use msp_isa::{execute_step, ArchState, ExecError, ExecutedInst, Program, Trace, TraceCursor};
+use msp_isa::{
+    execute_step, ArchState, ExecError, ExecutedInst, PackedInst, Program, Trace, TraceCursor,
+};
 use std::sync::Arc;
 
 /// The backing tier an [`Oracle`] serves its materialised prefix from.
 ///
 /// Both variants expose the same committed-path records; they differ only in
 /// where the bytes live. `Materialised` is the classic shared in-memory
-/// [`Trace`] — a bounds-checked slice read per lookup, the cheapest possible
-/// hot path. `Streaming` wraps a [`TraceCursor`] over an on-disk compressed
-/// trace file: lookups decode one block at a time into a small LRU window, so
-/// a budget far larger than RAM simulates in bounded memory. Because the
+/// [`Trace`] — a bounds-checked slice read and a packed-record rebuild per
+/// lookup, the cheapest possible hot path. `Streaming` wraps a
+/// [`TraceCursor`] over an on-disk compressed trace file: lookups decode one
+/// block at a time into a small LRU window, so a budget far larger than RAM
+/// simulates in bounded memory. Because the
 /// records are bit-identical by construction (the trace-file round trip is
 /// property-tested in `msp-isa`), the simulator's statistics are bit-identical
 /// across the two tiers.
@@ -80,10 +83,11 @@ impl TraceSource {
     /// end. Takes `&mut self` because the streaming tier may have to decode
     /// the enclosing block into its window; `program` must be the program the
     /// trace was captured from (streaming decode re-fetches instructions).
-    pub fn get(&mut self, program: &Program, index: u64) -> Option<&ExecutedInst> {
+    #[inline]
+    pub fn get(&mut self, program: &Program, index: u64) -> Option<ExecutedInst> {
         match self {
             TraceSource::Materialised(trace) => trace.get(index),
-            TraceSource::Streaming(cursor) => cursor.get(program, index),
+            TraceSource::Streaming(cursor) => cursor.get(program, index).copied(),
         }
     }
 
@@ -133,8 +137,9 @@ pub struct Oracle<'p> {
     program: &'p Program,
     /// The shared, immutable committed-path prefix (in-memory or on-disk).
     shared: TraceSource,
-    /// Private records past the shared prefix, lazily materialised.
-    tail: Vec<ExecutedInst>,
+    /// Private records past the shared prefix, lazily materialised and
+    /// packed like a [`Trace`]'s (unpacked against `program` on read).
+    tail: Vec<PackedInst>,
     /// Functional state positioned after the last tail record; cloned from
     /// the trace's end state on the first extension, `None` before that.
     state: Option<Box<ArchState>>,
@@ -176,7 +181,7 @@ impl<'p> Oracle<'p> {
     /// needed. Returns `None` once the program has halted (or left the text
     /// segment) before `index`.
     #[inline]
-    pub fn get(&mut self, index: u64) -> Option<&ExecutedInst> {
+    pub fn get(&mut self, index: u64) -> Option<ExecutedInst> {
         // Hot path: the record is in the shared materialised prefix.
         if index < self.shared.len() {
             return self.shared.get(self.program, index);
@@ -185,7 +190,7 @@ impl<'p> Oracle<'p> {
     }
 
     /// Cold path of [`Oracle::get`]: the record lies past the shared prefix.
-    fn get_tail(&mut self, index: u64) -> Option<&ExecutedInst> {
+    fn get_tail(&mut self, index: u64) -> Option<ExecutedInst> {
         let tail_index = (index - self.shared.len()) as usize;
         while !self.finished && self.tail.len() <= tail_index {
             if self.state.is_none() {
@@ -197,14 +202,14 @@ impl<'p> Oracle<'p> {
                     if rec.halted {
                         self.finished = true;
                     }
-                    self.tail.push(rec);
+                    self.tail.push(PackedInst::pack(&rec));
                 }
                 Err(ExecError::Halted) | Err(ExecError::OutOfRange(_)) => {
                     self.finished = true;
                 }
             }
         }
-        self.tail.get(tail_index)
+        self.tail.get(tail_index).map(|p| p.unpack(self.program))
     }
 
     /// Number of dynamic instructions materialised so far (shared prefix
@@ -245,12 +250,12 @@ mod tests {
         let p = counted_loop();
         let mut oracle = Oracle::new(&p);
         assert_eq!(oracle.materialised(), 0);
-        let rec5 = *oracle.get(5).unwrap();
+        let rec5 = oracle.get(5).unwrap();
         assert!(oracle.materialised() >= 6);
         // Replay: asking again returns the identical record.
-        assert_eq!(*oracle.get(5).unwrap(), rec5);
+        assert_eq!(oracle.get(5).unwrap(), rec5);
         // Earlier records are also available without re-execution.
-        let rec0 = *oracle.get(0).unwrap();
+        let rec0 = oracle.get(0).unwrap();
         assert_eq!(rec0.pc, p.entry());
     }
 
@@ -308,8 +313,8 @@ mod tests {
         let mut private = Oracle::new(&p);
         for i in 0..200 {
             assert_eq!(
-                shared.get(i).copied(),
-                private.get(i).copied(),
+                shared.get(i),
+                private.get(i),
                 "lazy extension must match private execution at index {i}"
             );
         }
@@ -324,7 +329,7 @@ mod tests {
         let mut shared = Oracle::with_trace(&p, trace);
         let mut private = Oracle::new(&p);
         for i in 0..10 {
-            assert_eq!(shared.get(i).copied(), private.get(i).copied());
+            assert_eq!(shared.get(i), private.get(i));
         }
         assert_eq!(shared.is_finished(), private.is_finished());
     }
@@ -369,11 +374,7 @@ mod tests {
             "a complete file finishes the oracle"
         );
         for i in 0..10 {
-            assert_eq!(
-                streaming.get(i).copied(),
-                materialised.get(i).copied(),
-                "index {i}"
-            );
+            assert_eq!(streaming.get(i), materialised.get(i), "index {i}");
         }
         // Everything came from the file: nothing was privately materialised.
         assert_eq!(streaming.materialised(), streaming.shared_len());
@@ -393,8 +394,8 @@ mod tests {
         let mut private = Oracle::new(&p);
         for i in 0..200 {
             assert_eq!(
-                streaming.get(i).copied(),
-                private.get(i).copied(),
+                streaming.get(i),
+                private.get(i),
                 "lazy extension past the on-disk end must match private execution at index {i}"
             );
         }

@@ -18,6 +18,7 @@ use msp_mem::{
     StoreQueueEntry,
 };
 use msp_state::{MspStateManager, PhysReg, PortArbiter, RenameRequest, StateId};
+use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -207,8 +208,10 @@ impl WarmState {
 
     /// Absorbs one committed record: touches the caches and trains the
     /// branch machinery exactly as correct-path fetch would
-    /// (`Simulator::predict`), without any cycle accounting.
-    pub fn absorb(&mut self, rec: &ExecutedInst) {
+    /// (`Simulator::predict`), without any cycle accounting. Takes the
+    /// record by value or by reference.
+    pub fn absorb(&mut self, rec: impl Borrow<ExecutedInst>) {
+        let rec = rec.borrow();
         let line = rec.pc / self.memory.config().il1.line_bytes as u64;
         if line != self.last_fetch_line {
             self.memory.fetch_latency(rec.pc);
@@ -267,7 +270,7 @@ fn warm_over_trace(
         let mut state = checkpoint.clone();
         let mut index = start;
         while index < warmup_len.saturating_add(start) {
-            let Some(&expected) = trace.get(program, index) else {
+            let Some(expected) = trace.get(program, index) else {
                 break;
             };
             let rec = execute_step(&mut state, program)
@@ -280,10 +283,10 @@ fn warm_over_trace(
     // Fast path: the materialised records already carry everything the warm
     // structures consume (PC, outcome, effective address).
     while warmed < warmup_len {
-        let Some(&rec) = trace.get(program, start + warmed) else {
+        let Some(rec) = trace.get(program, start + warmed) else {
             break;
         };
-        warm.absorb(&rec);
+        warm.absorb(rec);
         warmed += 1;
         if rec.halted {
             return warmed;
@@ -304,7 +307,7 @@ fn warm_over_trace(
                 Ok(rec) => rec,
                 Err(_) => break,
             };
-            warm.absorb(&rec);
+            warm.absorb(rec);
             warmed += 1;
             if rec.halted {
                 break;
@@ -517,7 +520,7 @@ impl<'p> Simulator<'p> {
             const VALIDATION_WINDOW: u64 = 512;
             let mut state = checkpoint.clone();
             for index in checkpoint_index..checkpoint_index + VALIDATION_WINDOW {
-                let Some(&expected) = trace.get(program, index) else {
+                let Some(expected) = trace.get(program, index) else {
                     break;
                 };
                 let rec = execute_step(&mut state, program)
@@ -1834,7 +1837,7 @@ impl<'p> Simulator<'p> {
                         break;
                     }
                     match self.oracle.get(self.next_oracle_idx) {
-                        Some(&rec) => (rec, Some(self.next_oracle_idx)),
+                        Some(rec) => (rec, Some(self.next_oracle_idx)),
                         None => {
                             self.oracle_done = true;
                             break;
