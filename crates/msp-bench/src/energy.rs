@@ -75,11 +75,12 @@ pub struct EnergyStats {
 }
 
 impl EnergyStats {
-    /// Folds one run's statistics through `model`. The counters are
-    /// destructured without a rest pattern — like `SimStats::accumulate` —
-    /// so adding a counter to `ActivityCounters` is a compile error here
-    /// until it is priced (a counter silently excluded from the fold would
-    /// underreport energy with nothing to catch it).
+    /// Folds one run's statistics through `model`. This pricing table is
+    /// kept apart from `SimStats::counters`, the walk that folds, subtracts
+    /// and journals every counter: the counters are destructured here
+    /// without a rest pattern too, so adding one to `ActivityCounters` is a
+    /// compile error here until it is priced (a counter silently excluded
+    /// from the fold would underreport energy with nothing to catch it).
     pub fn from_stats(stats: &SimStats, model: &EnergyModel) -> EnergyStats {
         let msp_pipeline::ActivityCounters {
             rf_reads: _,

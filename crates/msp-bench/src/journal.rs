@@ -52,14 +52,13 @@ use crate::energy::SampledEnergy;
 use crate::experiment::Cell;
 use crate::{SampledStats, SamplingPlan};
 use msp_branch::PredictorKind;
-use msp_isa::wire::{fnv1a, put_varint, FNV_OFFSET};
-use msp_isa::{ArchReg, NUM_LOGICAL_REGS};
+use msp_isa::wire::{fnv1a, put_varint, Reader, FNV_OFFSET};
+use msp_isa::NUM_LOGICAL_REGS;
 use msp_pipeline::{
-    ActivityCounters, CacheConfig, ExecutedBreakdown, FrontendConfig, LatencyConfig, MachineKind,
-    MemoryConfig, ResourceConfig, SimConfig, SimResult, SimStats, StallBreakdown,
+    CacheConfig, FrontendConfig, LatencyConfig, MachineKind, MemoryConfig, ResourceConfig,
+    SimConfig, SimResult, SimStats,
 };
 use msp_workloads::Variant;
-use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -158,7 +157,7 @@ pub fn cell_fingerprint(
     put_u64(&mut buf, program_fingerprint);
     put_string(&mut buf, workload);
     put_variant(&mut buf, variant);
-    put_opt_string(&mut buf, hook);
+    put_opt(&mut buf, hook, put_string);
     put_varint(&mut buf, instructions);
     // Rest-pattern-free destructures on purpose: adding a field to any
     // plan variant without fingerprinting it is a compile error here, not
@@ -347,33 +346,31 @@ fn encode_cell_file(fingerprint: u64, cell: &Cell) -> Vec<u8> {
 /// Decodes (and fully verifies) a cell result file written by
 /// [`encode_cell_file`] for the same fingerprint.
 fn decode_cell_file(fingerprint: u64, bytes: &[u8]) -> Result<Cell, String> {
-    const PREFIX: usize = 8 + 4 + 8;
-    if bytes.len() < PREFIX + 8 {
+    if bytes.len() < CELL_MAGIC.len() + 4 + 8 + 8 {
         return Err(format!("file too short ({} bytes)", bytes.len()));
     }
-    if &bytes[..8] != CELL_MAGIC {
+    let (body, checksum) = bytes.split_at(bytes.len() - 8);
+    let mut r = Reader::new(body);
+    if r.take(CELL_MAGIC.len())? != CELL_MAGIC {
         return Err("bad magic".to_string());
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    let version = r.u32()?;
     if version != JOURNAL_FORMAT_VERSION {
         return Err(format!(
             "format version {version} (expected {JOURNAL_FORMAT_VERSION})"
         ));
     }
-    let body = &bytes[..bytes.len() - 8];
-    let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-    if fnv1a(FNV_OFFSET, body) != stored {
+    if fnv1a(FNV_OFFSET, body) != Reader::new(checksum).u64()? {
         return Err("checksum mismatch".to_string());
     }
-    let file_fp = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
+    let file_fp = r.u64()?;
     if file_fp != fingerprint {
         return Err(format!(
             "fingerprint mismatch (file {file_fp:016x}, expected {fingerprint:016x})"
         ));
     }
-    let mut reader = Reader::new(&body[PREFIX..]);
-    let cell = get_cell(&mut reader)?;
-    reader.expect_end()?;
+    let cell = get_cell(&mut r)?;
+    r.expect_end()?;
     Ok(cell)
 }
 
@@ -401,13 +398,11 @@ fn put_string(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-fn put_opt_string(buf: &mut Vec<u8>, s: Option<&str>) {
-    match s {
-        None => buf.push(0),
-        Some(s) => {
-            buf.push(1);
-            put_string(buf, s);
-        }
+/// An option tag (0 absent, 1 present), then the value written by `put`.
+fn put_opt<T>(buf: &mut Vec<u8>, value: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
+    buf.push(u8::from(value.is_some()));
+    if let Some(value) = value {
+        put(buf, value);
     }
 }
 
@@ -442,7 +437,7 @@ fn put_predictor(buf: &mut Vec<u8>, predictor: PredictorKind) {
 }
 
 /// Every field of the effective configuration, destructured without rest
-/// patterns (like `SimStats::accumulate`): adding a field anywhere in the
+/// patterns (like `SimStats::counters`): adding a field anywhere in the
 /// config tree is a compile error here until it joins the fingerprint — a
 /// silently-excluded knob would alias distinct cells.
 fn put_sim_config(buf: &mut Vec<u8>, config: &SimConfig) {
@@ -532,122 +527,35 @@ fn put_sim_config(buf: &mut Vec<u8>, config: &SimConfig) {
         put_varint(buf, *hit_latency);
     }
     put_varint(buf, *memory_latency);
-    match lcs_delay {
-        None => buf.push(0),
-        Some(delay) => {
-            buf.push(1);
-            put_usize(buf, *delay);
-        }
-    }
+    put_opt(buf, *lcs_delay, put_usize);
     put_usize(buf, *max_same_reg_renames);
     put_bool(buf, *arbitration);
 }
 
+/// Writes the counters in the order of `SimStats::counters`, each as a
+/// varint, except that `bank_full` is stored sparsely: the number of
+/// registers with a nonzero count, then (flat index, count) pairs in
+/// flat-index order.
 fn put_sim_stats(buf: &mut Vec<u8>, stats: &SimStats) {
-    // Destructured without rest patterns (see `SimStats::accumulate`): a
-    // new counter is a compile error until the codec carries it — a
-    // silently-dropped counter would make replayed cells non-identical.
-    let SimStats {
-        cycles,
-        committed,
-        executed:
-            ExecutedBreakdown {
-                correct_path,
-                correct_path_reexecuted,
-                wrong_path,
-            },
-        branches,
-        mispredictions,
-        recoveries,
-        imprecise_recoveries,
-        checkpoints_allocated,
-        stalls:
-            StallBreakdown {
-                iq_full,
-                rob_full,
-                lq_full,
-                sq_full,
-                regs_full,
-                checkpoints_full,
-                bank_full,
-                same_reg_limit,
-                frontend_empty,
-            },
-        port_conflicts,
-        store_forwards,
-        dcache_misses,
-        watchdog_breaks,
-        activity,
-    } = stats;
-    put_varint(buf, *cycles);
-    put_varint(buf, *committed);
-    put_varint(buf, *correct_path);
-    put_varint(buf, *correct_path_reexecuted);
-    put_varint(buf, *wrong_path);
-    put_varint(buf, *branches);
-    put_varint(buf, *mispredictions);
-    put_varint(buf, *recoveries);
-    put_varint(buf, *imprecise_recoveries);
-    put_varint(buf, *checkpoints_allocated);
-    put_varint(buf, *iq_full);
-    put_varint(buf, *rob_full);
-    put_varint(buf, *lq_full);
-    put_varint(buf, *sq_full);
-    put_varint(buf, *regs_full);
-    put_varint(buf, *checkpoints_full);
-    // The map is emitted in flat-index order so the encoding is canonical
-    // (HashMap iteration order is not).
-    let mut banks: Vec<(usize, u64)> = bank_full
+    let counters = stats.counters();
+    let banks = SimStats::BANK_FULL_COUNTERS;
+    for counter in &counters[..banks.start] {
+        put_varint(buf, *counter);
+    }
+    let stalled: Vec<(usize, u64)> = counters[banks.clone()]
         .iter()
-        .map(|(reg, count)| (reg.flat_index(), *count))
+        .enumerate()
+        .filter(|(_, count)| **count > 0)
+        .map(|(flat, count)| (flat, *count))
         .collect();
-    banks.sort_unstable();
-    put_usize(buf, banks.len());
-    for (flat, count) in banks {
+    put_usize(buf, stalled.len());
+    for (flat, count) in stalled {
         put_usize(buf, flat);
         put_varint(buf, count);
     }
-    put_varint(buf, *same_reg_limit);
-    put_varint(buf, *frontend_empty);
-    put_varint(buf, *port_conflicts);
-    put_varint(buf, *store_forwards);
-    put_varint(buf, *dcache_misses);
-    put_varint(buf, *watchdog_breaks);
-    let ActivityCounters {
-        rf_reads,
-        rf_writes,
-        rename_lookups,
-        sct_lookups,
-        lcs_propagations,
-        checkpoint_allocs,
-        checkpoint_releases,
-        reliq_wakeups,
-        lq_searches,
-        sq_searches,
-        icache_accesses,
-        dcache_accesses,
-        l2_accesses,
-        predictor_lookups,
-        btb_lookups,
-        ras_ops,
-    } = activity.as_ref();
-    for bank in rf_reads.iter().chain(rf_writes) {
-        put_varint(buf, *bank);
+    for counter in &counters[banks.end..] {
+        put_varint(buf, *counter);
     }
-    put_varint(buf, *rename_lookups);
-    put_varint(buf, *sct_lookups);
-    put_varint(buf, *lcs_propagations);
-    put_varint(buf, *checkpoint_allocs);
-    put_varint(buf, *checkpoint_releases);
-    put_varint(buf, *reliq_wakeups);
-    put_varint(buf, *lq_searches);
-    put_varint(buf, *sq_searches);
-    put_varint(buf, *icache_accesses);
-    put_varint(buf, *dcache_accesses);
-    put_varint(buf, *l2_accesses);
-    put_varint(buf, *predictor_lookups);
-    put_varint(buf, *btb_lookups);
-    put_varint(buf, *ras_ops);
 }
 
 fn put_cell(buf: &mut Vec<u8>, cell: &Cell) {
@@ -665,7 +573,7 @@ fn put_cell(buf: &mut Vec<u8>, cell: &Cell) {
     put_variant(buf, *variant);
     put_machine(buf, *machine);
     put_predictor(buf, *predictor);
-    put_opt_string(buf, hook.as_deref());
+    put_opt(buf, hook.as_deref(), put_string);
     let SimResult {
         machine: machine_label,
         predictor: predictor_label,
@@ -676,129 +584,67 @@ fn put_cell(buf: &mut Vec<u8>, cell: &Cell) {
     put_string(buf, predictor_label);
     put_bool(buf, *truncated_by_watchdog);
     put_sim_stats(buf, stats);
-    match sampled {
-        None => buf.push(0),
-        Some(SampledStats {
+    put_opt(buf, sampled.as_ref(), |buf, sampled| {
+        let SampledStats {
             intervals,
             measured_instructions,
             measured_cycles,
             mean_ipc,
             ipc_rel_stderr,
-        }) => {
-            buf.push(1);
-            put_usize(buf, *intervals);
-            put_varint(buf, *measured_instructions);
-            put_varint(buf, *measured_cycles);
-            put_f64(buf, *mean_ipc);
-            match ipc_rel_stderr {
-                None => buf.push(0),
-                Some(stderr) => {
-                    buf.push(1);
-                    put_f64(buf, *stderr);
-                }
-            }
-        }
-    }
-    match sampled_energy {
-        None => buf.push(0),
-        Some(SampledEnergy {
+        } = sampled;
+        put_usize(buf, *intervals);
+        put_varint(buf, *measured_instructions);
+        put_varint(buf, *measured_cycles);
+        put_f64(buf, *mean_ipc);
+        put_opt(buf, *ipc_rel_stderr, put_f64);
+    });
+    put_opt(buf, sampled_energy.as_ref(), |buf, energy| {
+        let SampledEnergy {
             intervals,
             measured_pj,
             mean_epi_pj,
             mean_rf_epi_pj,
-        }) => {
-            buf.push(1);
-            put_usize(buf, *intervals);
-            put_f64(buf, *measured_pj);
-            put_f64(buf, *mean_epi_pj);
-            put_f64(buf, *mean_rf_epi_pj);
-        }
+        } = energy;
+        put_usize(buf, *intervals);
+        put_f64(buf, *measured_pj);
+        put_f64(buf, *mean_epi_pj);
+        put_f64(buf, *mean_rf_epi_pj);
+    });
+}
+
+// Readers of the payload's composite fields, on the shared bounds-checked
+// `msp_isa::wire::Reader`.
+
+fn get_f64(r: &mut Reader<'_>) -> Result<f64, String> {
+    Ok(f64::from_bits(r.u64()?))
+}
+
+fn get_bool(r: &mut Reader<'_>) -> Result<bool, String> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        t => Err(format!("bad bool tag {t}")),
     }
 }
 
-/// Bounds-checked reader over a decoded cell payload.
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
+fn get_usize(r: &mut Reader<'_>) -> Result<usize, String> {
+    usize::try_from(r.varint()?).map_err(|_| "size overflows usize".to_string())
 }
 
-impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Reader { data, pos: 0 }
-    }
+fn get_string(r: &mut Reader<'_>) -> Result<String, String> {
+    let len = get_usize(r)?;
+    String::from_utf8(r.take(len)?.to_vec()).map_err(|_| "string is not UTF-8".to_string())
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let remaining = self.data.len() - self.pos;
-        if remaining < n {
-            return Err(format!(
-                "unexpected end: wanted {n} bytes, {remaining} left"
-            ));
-        }
-        let slice = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, String> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            t => Err(format!("bad bool tag {t}")),
-        }
-    }
-
-    fn varint(&mut self) -> Result<u64, String> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 {
-                return Err("varint overflows 64 bits".to_string());
-            }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-        }
-    }
-
-    fn usize_(&mut self) -> Result<usize, String> {
-        usize::try_from(self.varint()?).map_err(|_| "size overflows usize".to_string())
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        let len = self.usize_()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "string is not UTF-8".to_string())
-    }
-
-    fn opt_string(&mut self) -> Result<Option<String>, String> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.string()?)),
-            t => Err(format!("bad option tag {t}")),
-        }
-    }
-
-    fn expect_end(&self) -> Result<(), String> {
-        let remaining = self.data.len() - self.pos;
-        if remaining != 0 {
-            return Err(format!("{remaining} trailing bytes after decoded cell"));
-        }
-        Ok(())
+/// An option tag, then the value read by `get` if the tag says present.
+fn get_opt<T>(
+    r: &mut Reader<'_>,
+    get: impl FnOnce(&mut Reader<'_>) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => get(r).map(Some),
+        t => Err(format!("bad option tag {t}")),
     }
 }
 
@@ -814,10 +660,10 @@ fn get_machine(r: &mut Reader<'_>) -> Result<MachineKind, String> {
     match r.u8()? {
         0 => Ok(MachineKind::Baseline),
         1 => Ok(MachineKind::Cpr {
-            regs_per_class: r.usize_()?,
+            regs_per_class: get_usize(r)?,
         }),
         2 => Ok(MachineKind::Msp {
-            regs_per_bank: r.usize_()?,
+            regs_per_bank: get_usize(r)?,
         }),
         3 => Ok(MachineKind::IdealMsp),
         t => Err(format!("bad machine tag {t}")),
@@ -833,134 +679,57 @@ fn get_predictor(r: &mut Reader<'_>) -> Result<PredictorKind, String> {
     }
 }
 
+/// The inverse of [`put_sim_stats`].
 fn get_sim_stats(r: &mut Reader<'_>) -> Result<SimStats, String> {
-    let cycles = r.varint()?;
-    let committed = r.varint()?;
-    let executed = ExecutedBreakdown {
-        correct_path: r.varint()?,
-        correct_path_reexecuted: r.varint()?,
-        wrong_path: r.varint()?,
-    };
-    let branches = r.varint()?;
-    let mispredictions = r.varint()?;
-    let recoveries = r.varint()?;
-    let imprecise_recoveries = r.varint()?;
-    let checkpoints_allocated = r.varint()?;
-    let iq_full = r.varint()?;
-    let rob_full = r.varint()?;
-    let lq_full = r.varint()?;
-    let sq_full = r.varint()?;
-    let regs_full = r.varint()?;
-    let checkpoints_full = r.varint()?;
-    let bank_count = r.usize_()?;
-    if bank_count > NUM_LOGICAL_REGS {
-        return Err(format!("bank_full has {bank_count} entries"));
+    let mut counters = [0; SimStats::COUNTERS];
+    let banks = SimStats::BANK_FULL_COUNTERS;
+    for counter in &mut counters[..banks.start] {
+        *counter = r.varint()?;
     }
-    let mut bank_full = HashMap::with_capacity(bank_count);
-    for _ in 0..bank_count {
-        let flat = r.usize_()?;
+    let stalled = get_usize(r)?;
+    if stalled > NUM_LOGICAL_REGS {
+        return Err(format!("bank_full has {stalled} entries"));
+    }
+    for _ in 0..stalled {
+        let flat = get_usize(r)?;
         if flat >= NUM_LOGICAL_REGS {
             return Err(format!("bank_full register index {flat} out of range"));
         }
-        bank_full.insert(ArchReg::from_flat_index(flat), r.varint()?);
+        counters[banks.start + flat] = r.varint()?;
     }
-    let same_reg_limit = r.varint()?;
-    let frontend_empty = r.varint()?;
-    let port_conflicts = r.varint()?;
-    let store_forwards = r.varint()?;
-    let dcache_misses = r.varint()?;
-    let watchdog_breaks = r.varint()?;
-    let mut rf_reads = [0u64; NUM_LOGICAL_REGS];
-    for bank in rf_reads.iter_mut() {
-        *bank = r.varint()?;
+    for counter in &mut counters[banks.end..] {
+        *counter = r.varint()?;
     }
-    let mut rf_writes = [0u64; NUM_LOGICAL_REGS];
-    for bank in rf_writes.iter_mut() {
-        *bank = r.varint()?;
-    }
-    // A full struct literal (no `..Default::default()`), so a new activity
-    // counter is a compile error here until the decoder reads it.
-    let activity = ActivityCounters {
-        rf_reads,
-        rf_writes,
-        rename_lookups: r.varint()?,
-        sct_lookups: r.varint()?,
-        lcs_propagations: r.varint()?,
-        checkpoint_allocs: r.varint()?,
-        checkpoint_releases: r.varint()?,
-        reliq_wakeups: r.varint()?,
-        lq_searches: r.varint()?,
-        sq_searches: r.varint()?,
-        icache_accesses: r.varint()?,
-        dcache_accesses: r.varint()?,
-        l2_accesses: r.varint()?,
-        predictor_lookups: r.varint()?,
-        btb_lookups: r.varint()?,
-        ras_ops: r.varint()?,
-    };
-    Ok(SimStats {
-        cycles,
-        committed,
-        executed,
-        branches,
-        mispredictions,
-        recoveries,
-        imprecise_recoveries,
-        checkpoints_allocated,
-        stalls: StallBreakdown {
-            iq_full,
-            rob_full,
-            lq_full,
-            sq_full,
-            regs_full,
-            checkpoints_full,
-            bank_full,
-            same_reg_limit,
-            frontend_empty,
-        },
-        port_conflicts,
-        store_forwards,
-        dcache_misses,
-        watchdog_breaks,
-        activity: Box::new(activity),
-    })
+    Ok(SimStats::from_counters(&counters))
 }
 
 fn get_cell(r: &mut Reader<'_>) -> Result<Cell, String> {
-    let workload = r.string()?;
+    let workload = get_string(r)?;
     let variant = get_variant(r)?;
     let machine = get_machine(r)?;
     let predictor = get_predictor(r)?;
-    let hook = r.opt_string()?;
-    let machine_label = r.string()?;
-    let predictor_label = r.string()?;
-    let truncated_by_watchdog = r.bool()?;
+    let hook = get_opt(r, get_string)?;
+    let machine_label = get_string(r)?;
+    let predictor_label = get_string(r)?;
+    let truncated_by_watchdog = get_bool(r)?;
     let stats = get_sim_stats(r)?;
-    let sampled = match r.u8()? {
-        0 => None,
-        1 => Some(SampledStats {
-            intervals: r.usize_()?,
+    let sampled = get_opt(r, |r| {
+        Ok(SampledStats {
+            intervals: get_usize(r)?,
             measured_instructions: r.varint()?,
             measured_cycles: r.varint()?,
-            mean_ipc: r.f64()?,
-            ipc_rel_stderr: match r.u8()? {
-                0 => None,
-                1 => Some(r.f64()?),
-                t => return Err(format!("bad option tag {t}")),
-            },
-        }),
-        t => return Err(format!("bad option tag {t}")),
-    };
-    let sampled_energy = match r.u8()? {
-        0 => None,
-        1 => Some(SampledEnergy {
-            intervals: r.usize_()?,
-            measured_pj: r.f64()?,
-            mean_epi_pj: r.f64()?,
-            mean_rf_epi_pj: r.f64()?,
-        }),
-        t => return Err(format!("bad option tag {t}")),
-    };
+            mean_ipc: get_f64(r)?,
+            ipc_rel_stderr: get_opt(r, get_f64)?,
+        })
+    })?;
+    let sampled_energy = get_opt(r, |r| {
+        Ok(SampledEnergy {
+            intervals: get_usize(r)?,
+            measured_pj: get_f64(r)?,
+            mean_epi_pj: get_f64(r)?,
+            mean_rf_epi_pj: get_f64(r)?,
+        })
+    })?;
     Ok(Cell {
         workload,
         variant,
@@ -981,6 +750,9 @@ fn get_cell(r: &mut Reader<'_>) -> Result<Cell, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msp_isa::ArchReg;
+    use msp_pipeline::{ActivityCounters, ExecutedBreakdown, StallBreakdown};
+    use std::collections::HashMap;
 
     fn temp_dir(tag: &str) -> PathBuf {
         crate::blob::test_dir(&format!("journal-{tag}"))
@@ -1071,6 +843,110 @@ mod tests {
         let bytes = encode_cell_file(fp, &cell);
         let decoded = decode_cell_file(fp, &bytes).expect("roundtrip");
         assert_cells_bit_identical(&cell, &decoded);
+    }
+
+    /// A cell whose statistics set every counter to a distinct nonzero
+    /// value. The literals are full (no `..Default::default()`), so a new
+    /// counter does not compile until it gets a value here too.
+    fn every_counter_cell() -> Cell {
+        let banks = |pairs: &[(usize, u64)]| {
+            let mut counts = [0; NUM_LOGICAL_REGS];
+            for &(bank, count) in pairs {
+                counts[bank] = count;
+            }
+            counts
+        };
+        let stats = SimStats {
+            cycles: 900_001,
+            committed: 700_002,
+            executed: ExecutedBreakdown {
+                correct_path: 700_003,
+                correct_path_reexecuted: 4_004,
+                wrong_path: 50_005,
+            },
+            branches: 60_006,
+            mispredictions: 3_007,
+            recoveries: 3_008,
+            imprecise_recoveries: 109,
+            checkpoints_allocated: 1_010,
+            stalls: StallBreakdown {
+                iq_full: 11,
+                rob_full: 12,
+                lq_full: 13,
+                sq_full: 14,
+                regs_full: 15,
+                checkpoints_full: 16,
+                bank_full: HashMap::from([(ArchReg::int(5), 17_017), (ArchReg::fp(3), 18)]),
+                same_reg_limit: 19,
+                frontend_empty: 20,
+            },
+            port_conflicts: 21,
+            store_forwards: 22,
+            dcache_misses: 23,
+            watchdog_breaks: 24,
+            activity: Box::new(ActivityCounters {
+                rf_reads: banks(&[(0, 25), (7, 260_026), (40, 27)]),
+                rf_writes: banks(&[(1, 28), (5, 29), (63, 30_030)]),
+                rename_lookups: 31,
+                sct_lookups: 32,
+                lcs_propagations: 33,
+                checkpoint_allocs: 34,
+                checkpoint_releases: 35,
+                reliq_wakeups: 36,
+                lq_searches: 37,
+                sq_searches: 38,
+                icache_accesses: 39,
+                dcache_accesses: 40,
+                l2_accesses: 41,
+                predictor_lookups: 42,
+                btb_lookups: 43,
+                ras_ops: 44,
+            }),
+        };
+        Cell {
+            result: SimResult {
+                stats,
+                ..sample_cell().result
+            },
+            ..sample_cell()
+        }
+    }
+
+    /// `encode_cell_file(0x5eed_cafe_0000_0014, &every_counter_cell())`,
+    /// recorded before the stats codec was derived from `SimStats`' counter
+    /// walk. Cell files already on disk hold these bytes, so they must not
+    /// move; a new counter moves them, and then needs a
+    /// `JOURNAL_FORMAT_VERSION` bump and a fresh recording.
+    const EVERY_COUNTER_CELL_BYTES: &str = concat!(
+        "4d535043454c4c460100000014000000fecaed5e04677a69700002100101056c",
+        "63733d320531362d53500667736861726500a1f736e2dc2ae3dc2aa41fd58603",
+        "e6d403bf17c0176df2070b0c0d0e0f100205f984012312131415161718190000",
+        "00000000baef0f00000000000000000000000000000000000000000000000000",
+        "000000000000001b000000000000000000000000000000000000000000000000",
+        "1c0000001d000000000000000000000000000000000000000000000000000000",
+        "000000000000000000000000000000000000000000000000000000000000ceea",
+        "011f202122232425262728292a2b2c0108a01fc413343333333333d33f01e6b5",
+        "faf8b048893f0108abaaaaaa6a6e49410b0bee073cdd5e406666666666e63740",
+        "13e80ee4590fd301",
+    );
+
+    #[test]
+    fn cell_codec_keeps_every_counter_in_its_recorded_place() {
+        let cell = every_counter_cell();
+        let fp = 0x5eed_cafe_0000_0014;
+        let bytes = encode_cell_file(fp, &cell);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, EVERY_COUNTER_CELL_BYTES);
+        let decoded = decode_cell_file(fp, &bytes).expect("decodes");
+        assert_cells_bit_identical(&cell, &decoded);
+        // The window identities hold for every counter, including
+        // `bank_full` registers present on one side only.
+        let a = cell.result.stats;
+        let b = sample_cell().result.stats;
+        let mut sum = a.clone();
+        sum.accumulate(&b);
+        assert_eq!(sum.subtracting(&b), a);
+        assert_eq!(sum.subtracting(&a), b);
     }
 
     #[test]

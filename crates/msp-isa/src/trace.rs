@@ -95,9 +95,9 @@ impl BbvSignature {
 /// [`BbvAccumulator::observe`]; a finished signature is emitted every
 /// `interval` records, and [`BbvAccumulator::finish`] flushes the partial
 /// tail. The accumulator is the *single* definition of BBV profiling in the
-/// workspace — [`TraceBuilder`], the streaming trace-file capture and the
-/// trace-file fallback for files predating BBV storage all run the same code,
-/// so a signature never depends on which path produced it.
+/// workspace — [`TraceBuilder`] and the streaming trace-file capture feed it
+/// from one shared capture step, so a signature never depends on which path
+/// produced it.
 #[derive(Debug, Clone)]
 pub struct BbvAccumulator {
     interval: u64,
@@ -430,43 +430,111 @@ impl Iterator for RecordIter<'_> {
     }
 }
 
-/// Incremental constructor of a [`Trace`] on top of [`execute_step`].
-///
-/// The builder owns a private [`ArchState`] and appends one record per
-/// functional step, with exactly the stopping semantics of the timing
-/// simulator's oracle: a `halt` record is materialised (and ends the trace),
-/// and a PC leaving the text segment ends the trace without a record.
+/// The functional pass behind every trace capture, shared by
+/// [`TraceBuilder`] and the streaming `capture_trace_to_path`: a private
+/// [`ArchState`] stepped by [`execute_step`], the checkpoint cadence and BBV
+/// profiling (enabled exactly when checkpointing is, sharing its interval).
+/// It stops like the timing simulator's oracle: a `halt` record is produced
+/// and ends the capture, and a PC leaving the text segment ends it without a
+/// record.
 #[derive(Debug, Clone)]
-pub struct TraceBuilder<'p> {
+pub(crate) struct Capture<'p> {
     program: &'p Program,
     state: ArchState,
-    records: Vec<PackedInst>,
     complete: bool,
+    records: u64,
     checkpoint_interval: u64,
-    checkpoints: Vec<ArchState>,
+    /// Record index of the next checkpoint (`u64::MAX` when not
+    /// checkpointing).
+    next_checkpoint: u64,
     /// Present iff checkpointing is configured: BBV profiling shares the
     /// checkpoint interval, so every checkpointed trace can feed phase
     /// clustering without a second functional pass.
     bbv: Option<BbvAccumulator>,
 }
 
+impl<'p> Capture<'p> {
+    /// A capture positioned at `program`'s initial state, checkpointing
+    /// every `checkpoint_interval` records (`0` = never).
+    pub(crate) fn new(program: &'p Program, checkpoint_interval: u64) -> Self {
+        Capture {
+            program,
+            state: ArchState::new(program),
+            complete: false,
+            records: 0,
+            checkpoint_interval,
+            next_checkpoint: if checkpoint_interval > 0 { 0 } else { u64::MAX },
+            bbv: (checkpoint_interval > 0).then(|| BbvAccumulator::new(checkpoint_interval)),
+        }
+    }
+
+    /// Executes the next instruction and returns its record, handing the
+    /// checkpoint due before it, if one is, to `keep_checkpoint`; `None`
+    /// once the program has finished.
+    pub(crate) fn step(&mut self, keep_checkpoint: impl FnOnce(ArchState)) -> Option<ExecutedInst> {
+        if self.complete {
+            return None;
+        }
+        // A checkpoint is the state *before* the record at its index, so it
+        // is snapshotted ahead of the step and kept only if the step
+        // actually produced that record.
+        let snapshot = (self.records == self.next_checkpoint).then(|| self.state.clone());
+        match execute_step(&mut self.state, self.program) {
+            Ok(rec) => {
+                self.records += 1;
+                if let Some(state) = snapshot {
+                    self.next_checkpoint += self.checkpoint_interval;
+                    keep_checkpoint(state);
+                }
+                if let Some(bbv) = self.bbv.as_mut() {
+                    bbv.observe(&rec);
+                }
+                self.complete = rec.halted;
+                Some(rec)
+            }
+            Err(ExecError::Halted) | Err(ExecError::OutOfRange(_)) => {
+                self.complete = true;
+                None
+            }
+        }
+    }
+
+    /// Ends the capture: the state after the last record, whether the
+    /// program finished, and the BBV signatures (empty without
+    /// checkpointing).
+    pub(crate) fn finish(self) -> (ArchState, bool, Vec<BbvSignature>) {
+        let bbvs = self.bbv.map_or_else(Vec::new, BbvAccumulator::finish);
+        (self.state, self.complete, bbvs)
+    }
+}
+
+/// Incremental constructor of a [`Trace`] on top of [`execute_step`].
+///
+/// The builder appends one packed record per functional step of its
+/// capture, with exactly the stopping semantics of the timing simulator's
+/// oracle: a `halt` record is materialised (and ends the trace), and a PC
+/// leaving the text segment ends the trace without a record.
+#[derive(Debug, Clone)]
+pub struct TraceBuilder<'p> {
+    capture: Capture<'p>,
+    records: Vec<PackedInst>,
+    checkpoints: Vec<ArchState>,
+}
+
 impl<'p> TraceBuilder<'p> {
     /// Creates a builder positioned at `program`'s initial state.
     pub fn new(program: &'p Program) -> Self {
         TraceBuilder {
-            state: ArchState::new(program),
-            program,
+            capture: Capture::new(program, 0),
             records: Vec::new(),
-            complete: false,
-            checkpoint_interval: 0,
             checkpoints: Vec::new(),
-            bbv: None,
         }
     }
 
     /// Records an architectural checkpoint every `interval` committed
-    /// instructions from here on. Must be configured before the first step
-    /// so checkpoint 0 (the initial state) is captured.
+    /// instructions from here on, and profiles BBVs over the same interval.
+    /// Must be configured before the first step so checkpoint 0 (the
+    /// initial state) is captured.
     ///
     /// # Panics
     ///
@@ -478,8 +546,7 @@ impl<'p> TraceBuilder<'p> {
             self.records.is_empty(),
             "checkpointing must be configured before the first step"
         );
-        self.checkpoint_interval = interval;
-        self.bbv = Some(BbvAccumulator::new(interval));
+        self.capture = Capture::new(self.capture.program, interval);
         self
     }
 
@@ -495,44 +562,17 @@ impl<'p> TraceBuilder<'p> {
 
     /// Whether the program finished within the materialised records.
     pub fn is_complete(&self) -> bool {
-        self.complete
+        self.capture.complete
     }
 
     /// Executes one more dynamic instruction and appends its record. Returns
     /// `false` (and does nothing) once the program has finished.
     pub fn step(&mut self) -> bool {
-        if self.complete {
+        let Some(rec) = self.capture.step(|state| self.checkpoints.push(state)) else {
             return false;
-        }
-        // A checkpoint is the state *before* the record at its index, so it
-        // is snapshotted ahead of the step and committed only if the step
-        // actually produced that record.
-        let snapshot = if self.checkpoint_interval > 0
-            && self.records.len() as u64 == self.checkpoints.len() as u64 * self.checkpoint_interval
-        {
-            Some(self.state.clone())
-        } else {
-            None
         };
-        match execute_step(&mut self.state, self.program) {
-            Ok(rec) => {
-                if let Some(snapshot) = snapshot {
-                    self.checkpoints.push(snapshot);
-                }
-                if let Some(bbv) = self.bbv.as_mut() {
-                    bbv.observe(&rec);
-                }
-                if rec.halted {
-                    self.complete = true;
-                }
-                self.records.push(PackedInst::pack(&rec));
-                true
-            }
-            Err(ExecError::Halted) | Err(ExecError::OutOfRange(_)) => {
-                self.complete = true;
-                false
-            }
-        }
+        self.records.push(PackedInst::pack(&rec));
+        true
     }
 
     /// Materialises records until the trace holds `n` of them or the program
@@ -549,16 +589,19 @@ impl<'p> TraceBuilder<'p> {
 
     /// Finalises the builder into an immutable [`Trace`].
     pub fn finish(self) -> Trace {
+        let text = self.capture.program.text().into();
+        let checkpoint_interval = self.capture.checkpoint_interval;
+        let (end_state, complete, bbvs) = self.capture.finish();
         let mut records = self.records;
         records.shrink_to_fit();
         Trace {
-            text: self.program.text().into(),
+            text,
             records,
-            end_state: self.state,
-            complete: self.complete,
-            checkpoint_interval: self.checkpoint_interval,
+            end_state,
+            complete,
+            checkpoint_interval,
             checkpoints: self.checkpoints,
-            bbvs: self.bbv.map_or_else(Vec::new, BbvAccumulator::finish),
+            bbvs,
         }
     }
 }

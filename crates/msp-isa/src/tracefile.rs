@@ -50,14 +50,14 @@
 //! (byte-swapped for floating-point bit patterns, whose high bits are the
 //! informative ones).
 
-use crate::exec::{execute_step, ExecutedInst};
+use crate::exec::ExecutedInst;
 use crate::inst::{BranchCond, Instruction, Opcode};
 use crate::memory::{Memory, PAGE_SIZE};
 use crate::program::Program;
 use crate::record::{next_pc, PackedInst, Payload, PayloadShape};
 use crate::reg::{RegClass, NUM_FP_REGS, NUM_INT_REGS};
 use crate::state::ArchState;
-use crate::trace::{BbvAccumulator, BbvSignature, Trace};
+use crate::trace::{BbvSignature, Capture, Trace};
 use std::error::Error;
 use std::fmt;
 use std::fs::File;
@@ -88,7 +88,7 @@ const FOOTER_LEN: usize = 24;
 /// window with room to spare.
 const CURSOR_SLOTS: usize = 4;
 
-use crate::wire::{fnv1a, put_varint, unzigzag, zigzag, FNV_OFFSET};
+use crate::wire::{fnv1a, put_varint, unzigzag, zigzag, Reader, WireError, FNV_OFFSET};
 
 /// Error reading or validating a trace file.
 #[derive(Debug)]
@@ -144,6 +144,12 @@ impl From<io::Error> for TraceFileError {
     }
 }
 
+impl From<WireError> for TraceFileError {
+    fn from(e: WireError) -> Self {
+        corrupt(e.to_string())
+    }
+}
+
 fn corrupt(msg: impl Into<String>) -> TraceFileError {
     TraceFileError::Corrupt(msg.into())
 }
@@ -168,72 +174,6 @@ pub struct TraceFileMeta {
     pub complete: bool,
     /// Total file size in bytes.
     pub file_bytes: u64,
-}
-
-/// Bounds-checked reader over a decoded byte slice.
-struct Bytes<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Bytes<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Bytes { data, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TraceFileError> {
-        if self.remaining() < n {
-            return Err(corrupt(format!(
-                "unexpected end of chunk: wanted {n} bytes, {} left",
-                self.remaining()
-            )));
-        }
-        let slice = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, TraceFileError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, TraceFileError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, TraceFileError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn varint(&mut self) -> Result<u64, TraceFileError> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 {
-                return Err(corrupt("varint overflows 64 bits"));
-            }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-        }
-    }
-
-    fn expect_end(&self) -> Result<(), TraceFileError> {
-        if self.remaining() != 0 {
-            return Err(corrupt(format!(
-                "{} trailing bytes after decoded payload",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -360,7 +300,7 @@ fn value_bits(class: RegClass, v: u64) -> u64 {
 }
 
 fn decode_payload(
-    bytes: &mut Bytes<'_>,
+    bytes: &mut Reader<'_>,
     inst: &Instruction,
     prev_mem: &mut u64,
 ) -> Result<Payload, TraceFileError> {
@@ -395,7 +335,7 @@ fn decode_block(
     records: u32,
     mut emit: impl FnMut(u64, Instruction, Payload),
 ) -> Result<(), TraceFileError> {
-    let mut bytes = Bytes::new(raw);
+    let mut bytes = Reader::new(raw);
     let mut pc = first_pc;
     let mut prev_mem = 0u64;
     for _ in 0..records {
@@ -406,7 +346,7 @@ fn decode_block(
         emit(pc, inst, payload);
         pc = next_pc(pc, &inst, payload);
     }
-    bytes.expect_end()
+    Ok(bytes.expect_end()?)
 }
 
 // ---------------------------------------------------------------------------
@@ -433,7 +373,7 @@ fn encode_state(buf: &mut Vec<u8>, state: &ArchState) {
     }
 }
 
-fn decode_state(bytes: &mut Bytes<'_>) -> Result<ArchState, TraceFileError> {
+fn decode_state(bytes: &mut Reader<'_>) -> Result<ArchState, TraceFileError> {
     let pc = bytes.varint()?;
     let halted = match bytes.u8()? {
         0 => false,
@@ -489,7 +429,7 @@ fn encode_bbvs(buf: &mut Vec<u8>, bbvs: &[BbvSignature]) {
     }
 }
 
-fn decode_bbvs(bytes: &mut Bytes<'_>) -> Result<Vec<BbvSignature>, TraceFileError> {
+fn decode_bbvs(bytes: &mut Reader<'_>) -> Result<Vec<BbvSignature>, TraceFileError> {
     let count = bytes.varint()?;
     let mut bbvs = Vec::with_capacity(count.min(1 << 20) as usize);
     for _ in 0..count {
@@ -902,16 +842,17 @@ impl TraceReader {
 
         let mut header = [0u8; HEADER_LEN];
         file.read_exact(&mut header)?;
-        if &header[0..8] != MAGIC {
+        let mut fields = Reader::new(&header);
+        if fields.take(MAGIC.len())? != MAGIC {
             return Err(corrupt("bad header magic"));
         }
-        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
+        let version = fields.u32()?;
         if version != TRACE_FORMAT_VERSION {
             return Err(TraceFileError::Version { found: version });
         }
-        let block_records = u32::from_le_bytes(header[12..16].try_into().unwrap());
-        let fingerprint = u64::from_le_bytes(header[16..24].try_into().unwrap());
-        let checkpoint_interval = u64::from_le_bytes(header[24..32].try_into().unwrap());
+        let block_records = fields.u32()?;
+        let fingerprint = fields.u64()?;
+        let checkpoint_interval = fields.u64()?;
         if block_records == 0 {
             return Err(corrupt("zero block size"));
         }
@@ -932,7 +873,7 @@ impl TraceReader {
         if &tail[8..16] != TRAILER {
             return Err(corrupt("bad trailer magic"));
         }
-        let stored = u64::from_le_bytes(tail[0..8].try_into().unwrap());
+        let stored = Reader::new(&tail).u64()?;
         if stored != hash {
             return Err(corrupt(format!(
                 "file checksum mismatch (stored {stored:#018x}, computed {hash:#018x})"
@@ -952,7 +893,7 @@ impl TraceReader {
         let mut index = vec![0u8; (len - FOOTER_LEN as u64 - index_offset) as usize];
         file.read_exact(&mut index)?;
 
-        let mut bytes = Bytes::new(&index);
+        let mut bytes = Reader::new(&index);
         let record_count = bytes.u64()?;
         let complete = match bytes.u8()? {
             0 => false,
@@ -971,7 +912,7 @@ impl TraceReader {
                 checksum: bytes.u64()?,
             });
         }
-        let read_chunk_entry = |bytes: &mut Bytes<'_>| -> Result<ChunkEntry, TraceFileError> {
+        let read_chunk_entry = |bytes: &mut Reader<'_>| -> Result<ChunkEntry, TraceFileError> {
             Ok(ChunkEntry {
                 offset: bytes.u64()?,
                 comp_len: bytes.u32()?,
@@ -1093,7 +1034,7 @@ impl TraceReader {
         raw: &mut Vec<u8>,
     ) -> Result<ArchState, TraceFileError> {
         read_chunk(&self.file, entry, comp, raw)?;
-        let mut bytes = Bytes::new(raw);
+        let mut bytes = Reader::new(raw);
         let state = decode_state(&mut bytes)?;
         bytes.expect_end()?;
         Ok(state)
@@ -1111,7 +1052,7 @@ impl TraceReader {
     fn decode_bbvs(&self) -> Result<Vec<BbvSignature>, TraceFileError> {
         let (mut comp, mut raw) = (Vec::new(), Vec::new());
         read_chunk(&self.file, &self.bbv, &mut comp, &mut raw)?;
-        let mut bytes = Bytes::new(&raw);
+        let mut bytes = Reader::new(&raw);
         let bbvs = decode_bbvs(&mut bytes)?;
         bytes.expect_end()?;
         Ok(bbvs)
@@ -1344,46 +1285,18 @@ pub fn capture_trace_to_path(
     checkpoint_interval: u64,
 ) -> io::Result<()> {
     let mut writer = TraceWriter::create(path, program, checkpoint_interval)?;
-    let mut state = ArchState::new(program);
-    let mut checkpoints = 0u64;
-    let mut complete = false;
-    // BBV profiling mirrors `TraceBuilder`: enabled exactly when
-    // checkpointing is, sharing its interval.
-    let mut bbv = (checkpoint_interval > 0).then(|| BbvAccumulator::new(checkpoint_interval));
+    let mut capture = Capture::new(program, checkpoint_interval);
     while writer.record_count() < max_instructions {
-        // Mirrors `TraceBuilder::step`: the snapshot is taken before the
-        // step and committed only if the step produced its record.
-        let snapshot = (checkpoint_interval > 0
-            && writer.record_count() == checkpoints * checkpoint_interval)
-            .then(|| state.clone());
-        match execute_step(&mut state, program) {
-            Ok(rec) => {
-                if let Some(snapshot) = snapshot {
-                    writer.add_checkpoint(&snapshot);
-                    checkpoints += 1;
-                }
-                if let Some(bbv) = bbv.as_mut() {
-                    bbv.observe(&rec);
-                }
-                let halted = rec.halted;
-                writer.append(&rec)?;
-                if halted {
-                    complete = true;
-                    break;
-                }
-            }
-            Err(_) => {
-                complete = true;
-                break;
-            }
-        }
+        let Some(rec) = capture.step(|state| writer.add_checkpoint(&state)) else {
+            break;
+        };
+        writer.append(&rec)?;
     }
-    if let Some(bbv) = bbv {
-        for sig in bbv.finish() {
-            writer.add_bbv(&sig);
-        }
+    let (end_state, complete, bbvs) = capture.finish();
+    for sig in &bbvs {
+        writer.add_bbv(sig);
     }
-    writer.finish(&state, complete)
+    writer.finish(&end_state, complete)
 }
 
 #[cfg(test)]
@@ -1529,7 +1442,7 @@ mod tests {
         for &v in &values {
             put_varint(&mut buf, v);
         }
-        let mut bytes = Bytes::new(&buf);
+        let mut bytes = Reader::new(&buf);
         for &v in &values {
             assert_eq!(bytes.varint().unwrap(), v);
         }

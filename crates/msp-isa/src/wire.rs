@@ -1,12 +1,14 @@
-//! Shared on-disk encoding primitives: FNV-1a checksums and LEB128
-//! varint/zigzag integer coding.
+//! Shared on-disk encoding primitives: FNV-1a checksums, LEB128
+//! varint/zigzag integer coding and the bounds-checked [`Reader`] that
+//! decodes them.
 //!
 //! These started life inside the trace-file format ([`crate::TraceReader`])
 //! and are exported here so every durable format in the workspace — trace
-//! files, the experiment journal, the result store — agrees on one checksum
-//! and one integer wire coding. FNV-1a's XOR and odd-prime multiply are both
-//! bijections modulo 2^64, so any single substituted byte always changes the
-//! final hash; that is the property the corruption fences rely on.
+//! files, the experiment journal, the result store — agrees on one checksum,
+//! one integer wire coding and one way of reading it back. FNV-1a's XOR and
+//! odd-prime multiply are both bijections modulo 2^64, so any single
+//! substituted byte always changes the final hash; that is the property the
+//! corruption fences rely on.
 
 /// FNV-1a 64-bit offset basis: the initial `hash` argument to [`fnv1a`].
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -48,4 +50,122 @@ pub fn zigzag(v: i64) -> u64 {
 #[must_use]
 pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+/// Why a [`Reader`] read failed. Each format maps this into its own error
+/// type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireError {
+    /// A read wanted more bytes than were left.
+    UnexpectedEnd {
+        /// Bytes the read wanted.
+        wanted: usize,
+        /// Bytes that were left.
+        left: usize,
+    },
+    /// A varint ran past 64 bits.
+    VarintOverflow,
+    /// Bytes were left over after the last field.
+    TrailingBytes(usize),
+}
+
+impl std::fmt::Display for WireError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WireError::UnexpectedEnd { wanted, left } => {
+                write!(f, "unexpected end: wanted {wanted} bytes, {left} left")
+            }
+            WireError::VarintOverflow => write!(f, "varint overflows 64 bits"),
+            WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after decoded payload"),
+        }
+    }
+}
+
+impl std::error::Error for WireError {}
+
+impl From<WireError> for String {
+    fn from(e: WireError) -> String {
+        e.to_string()
+    }
+}
+
+/// Bounds-checked cursor over an encoded byte slice: fixed-width
+/// little-endian integers and [`put_varint`] varints.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    data: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader positioned at the start of `data`.
+    #[must_use]
+    pub fn new(data: &'a [u8]) -> Self {
+        Reader { data, pos: 0 }
+    }
+
+    #[inline]
+    fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
+    /// The next `n` bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let left = self.remaining();
+        if left < n {
+            return Err(WireError::UnexpectedEnd { wanted: n, left });
+        }
+        let slice = &self.data[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(slice)
+    }
+
+    /// The next byte.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// The next 4 bytes as a little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, WireError> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+
+    /// The next 8 bytes as a little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, WireError> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
+
+    /// The next LEB128 varint.
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64, WireError> {
+        let mut value = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let byte = self.u8()?;
+            if shift >= 64 {
+                return Err(WireError::VarintOverflow);
+            }
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(value);
+            }
+            shift += 7;
+        }
+    }
+
+    /// Succeeds only if every byte has been read.
+    pub fn expect_end(&self) -> Result<(), WireError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(WireError::TrailingBytes(n)),
+        }
+    }
 }

@@ -3,6 +3,7 @@
 
 use msp_isa::{ArchReg, NUM_LOGICAL_REGS};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Per-event activity counts of one simulation: how often each energy-
 /// relevant structure was exercised, in the Wattch/CACTI activity-factor
@@ -67,25 +68,10 @@ pub struct ActivityCounters {
 }
 
 impl Default for ActivityCounters {
+    /// All zeros, built through [`SimStats::from_counters`] so the counter
+    /// list stays in one place.
     fn default() -> Self {
-        ActivityCounters {
-            rf_reads: [0; NUM_LOGICAL_REGS],
-            rf_writes: [0; NUM_LOGICAL_REGS],
-            rename_lookups: 0,
-            sct_lookups: 0,
-            lcs_propagations: 0,
-            checkpoint_allocs: 0,
-            checkpoint_releases: 0,
-            reliq_wakeups: 0,
-            lq_searches: 0,
-            sq_searches: 0,
-            icache_accesses: 0,
-            dcache_accesses: 0,
-            l2_accesses: 0,
-            predictor_lookups: 0,
-            btb_lookups: 0,
-            ras_ops: 0,
-        }
+        *SimStats::from_counters(&[0; SimStats::COUNTERS]).activity
     }
 }
 
@@ -98,99 +84,6 @@ impl ActivityCounters {
     /// Total register-file writes across all banks.
     pub fn rf_writes_total(&self) -> u64 {
         self.rf_writes.iter().sum()
-    }
-
-    /// Adds every counter of `other` into `self`. Destructured without a
-    /// rest pattern for the same reason as [`SimStats::accumulate`]: a new
-    /// counter is a compile error until it is folded in here.
-    pub fn accumulate(&mut self, other: &ActivityCounters) {
-        let ActivityCounters {
-            rf_reads,
-            rf_writes,
-            rename_lookups,
-            sct_lookups,
-            lcs_propagations,
-            checkpoint_allocs,
-            checkpoint_releases,
-            reliq_wakeups,
-            lq_searches,
-            sq_searches,
-            icache_accesses,
-            dcache_accesses,
-            l2_accesses,
-            predictor_lookups,
-            btb_lookups,
-            ras_ops,
-        } = other;
-        for (mine, theirs) in self.rf_reads.iter_mut().zip(rf_reads) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.rf_writes.iter_mut().zip(rf_writes) {
-            *mine += theirs;
-        }
-        self.rename_lookups += rename_lookups;
-        self.sct_lookups += sct_lookups;
-        self.lcs_propagations += lcs_propagations;
-        self.checkpoint_allocs += checkpoint_allocs;
-        self.checkpoint_releases += checkpoint_releases;
-        self.reliq_wakeups += reliq_wakeups;
-        self.lq_searches += lq_searches;
-        self.sq_searches += sq_searches;
-        self.icache_accesses += icache_accesses;
-        self.dcache_accesses += dcache_accesses;
-        self.l2_accesses += l2_accesses;
-        self.predictor_lookups += predictor_lookups;
-        self.btb_lookups += btb_lookups;
-        self.ras_ops += ras_ops;
-    }
-
-    /// The counter-wise difference `self − prefix` (saturating; exact when
-    /// `prefix` is an earlier snapshot of the same monotone run, as in
-    /// [`SimStats::subtracting`]).
-    pub fn subtracting(&self, prefix: &ActivityCounters) -> ActivityCounters {
-        let ActivityCounters {
-            rf_reads,
-            rf_writes,
-            rename_lookups,
-            sct_lookups,
-            lcs_propagations,
-            checkpoint_allocs,
-            checkpoint_releases,
-            reliq_wakeups,
-            lq_searches,
-            sq_searches,
-            icache_accesses,
-            dcache_accesses,
-            l2_accesses,
-            predictor_lookups,
-            btb_lookups,
-            ras_ops,
-        } = prefix;
-        let mut out = ActivityCounters::default();
-        for ((delta, mine), theirs) in out.rf_reads.iter_mut().zip(&self.rf_reads).zip(rf_reads) {
-            *delta = mine.saturating_sub(*theirs);
-        }
-        for ((delta, mine), theirs) in out.rf_writes.iter_mut().zip(&self.rf_writes).zip(rf_writes)
-        {
-            *delta = mine.saturating_sub(*theirs);
-        }
-        out.rename_lookups = self.rename_lookups.saturating_sub(*rename_lookups);
-        out.sct_lookups = self.sct_lookups.saturating_sub(*sct_lookups);
-        out.lcs_propagations = self.lcs_propagations.saturating_sub(*lcs_propagations);
-        out.checkpoint_allocs = self.checkpoint_allocs.saturating_sub(*checkpoint_allocs);
-        out.checkpoint_releases = self
-            .checkpoint_releases
-            .saturating_sub(*checkpoint_releases);
-        out.reliq_wakeups = self.reliq_wakeups.saturating_sub(*reliq_wakeups);
-        out.lq_searches = self.lq_searches.saturating_sub(*lq_searches);
-        out.sq_searches = self.sq_searches.saturating_sub(*sq_searches);
-        out.icache_accesses = self.icache_accesses.saturating_sub(*icache_accesses);
-        out.dcache_accesses = self.dcache_accesses.saturating_sub(*dcache_accesses);
-        out.l2_accesses = self.l2_accesses.saturating_sub(*l2_accesses);
-        out.predictor_lookups = self.predictor_lookups.saturating_sub(*predictor_lookups);
-        out.btb_lookups = self.btb_lookups.saturating_sub(*btb_lookups);
-        out.ras_ops = self.ras_ops.saturating_sub(*ras_ops);
-        out
     }
 }
 
@@ -273,6 +166,12 @@ impl StallBreakdown {
     }
 }
 
+// Scalar counters of `SimStats::counters` before `bank_full`, between it
+// and the per-bank activity arrays, and after those arrays.
+const HEAD_SCALARS: usize = 16;
+const MIDDLE_SCALARS: usize = 6;
+const TAIL_SCALARS: usize = 14;
+
 /// Complete statistics of one simulation run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {
@@ -343,15 +242,24 @@ impl SimStats {
         }
     }
 
-    /// Adds every counter of `other` into `self` (the `bank_full` maps are
-    /// merged per register). Used by the sampled-simulation aggregator to
-    /// fold per-interval statistics into one whole-run summary.
-    ///
-    /// Both this and [`SimStats::subtracting`] destructure `other` without
-    /// a rest pattern, so adding a counter to [`SimStats`] is a compile
-    /// error here until the new field is folded in — a silently-dropped
-    /// counter would corrupt every sampled aggregate.
-    pub fn accumulate(&mut self, other: &SimStats) {
+    /// Number of counters in the flat sequence of [`SimStats::counters`].
+    pub const COUNTERS: usize =
+        HEAD_SCALARS + NUM_LOGICAL_REGS + MIDDLE_SCALARS + 2 * NUM_LOGICAL_REGS + TAIL_SCALARS;
+
+    /// Where `stalls.bank_full` sits in [`SimStats::counters`]: one count
+    /// per logical register, in flat-index order.
+    pub const BANK_FULL_COUNTERS: Range<usize> = HEAD_SCALARS..HEAD_SCALARS + NUM_LOGICAL_REGS;
+
+    /// Every counter as one flat sequence, in declaration order: the
+    /// scalars, `bank_full` expanded by flat register index (see
+    /// [`SimStats::BANK_FULL_COUNTERS`]), then the activity block with its
+    /// per-bank `rf_reads` and `rf_writes` arrays. The fold, the window
+    /// subtraction and the journal codec take their counters from this walk
+    /// and its inverse [`SimStats::from_counters`] and list none
+    /// themselves. The destructure has no rest pattern and the inverse is a
+    /// full struct literal, so a new counter is a compile error here until
+    /// it is placed in the sequence.
+    pub fn counters(&self) -> [u64; SimStats::COUNTERS] {
         let SimStats {
             cycles,
             committed,
@@ -383,33 +291,165 @@ impl SimStats {
             dcache_misses,
             watchdog_breaks,
             activity,
-        } = other;
-        self.cycles += cycles;
-        self.committed += committed;
-        self.executed.correct_path += correct_path;
-        self.executed.correct_path_reexecuted += correct_path_reexecuted;
-        self.executed.wrong_path += wrong_path;
-        self.branches += branches;
-        self.mispredictions += mispredictions;
-        self.recoveries += recoveries;
-        self.imprecise_recoveries += imprecise_recoveries;
-        self.checkpoints_allocated += checkpoints_allocated;
-        self.stalls.iq_full += iq_full;
-        self.stalls.rob_full += rob_full;
-        self.stalls.lq_full += lq_full;
-        self.stalls.sq_full += sq_full;
-        self.stalls.regs_full += regs_full;
-        self.stalls.checkpoints_full += checkpoints_full;
-        self.stalls.same_reg_limit += same_reg_limit;
-        self.stalls.frontend_empty += frontend_empty;
+        } = self;
+        let ActivityCounters {
+            rf_reads,
+            rf_writes,
+            rename_lookups,
+            sct_lookups,
+            lcs_propagations,
+            checkpoint_allocs,
+            checkpoint_releases,
+            reliq_wakeups,
+            lq_searches,
+            sq_searches,
+            icache_accesses,
+            dcache_accesses,
+            l2_accesses,
+            predictor_lookups,
+            btb_lookups,
+            ras_ops,
+        } = activity.as_ref();
+        let head: [u64; HEAD_SCALARS] = [
+            *cycles,
+            *committed,
+            *correct_path,
+            *correct_path_reexecuted,
+            *wrong_path,
+            *branches,
+            *mispredictions,
+            *recoveries,
+            *imprecise_recoveries,
+            *checkpoints_allocated,
+            *iq_full,
+            *rob_full,
+            *lq_full,
+            *sq_full,
+            *regs_full,
+            *checkpoints_full,
+        ];
+        let mut bank_full_by_reg = [0; NUM_LOGICAL_REGS];
         for (reg, count) in bank_full {
-            *self.stalls.bank_full.entry(*reg).or_insert(0) += count;
+            bank_full_by_reg[reg.flat_index()] = *count;
         }
-        self.port_conflicts += port_conflicts;
-        self.store_forwards += store_forwards;
-        self.dcache_misses += dcache_misses;
-        self.watchdog_breaks += watchdog_breaks;
-        self.activity.accumulate(activity);
+        let middle: [u64; MIDDLE_SCALARS] = [
+            *same_reg_limit,
+            *frontend_empty,
+            *port_conflicts,
+            *store_forwards,
+            *dcache_misses,
+            *watchdog_breaks,
+        ];
+        let tail: [u64; TAIL_SCALARS] = [
+            *rename_lookups,
+            *sct_lookups,
+            *lcs_propagations,
+            *checkpoint_allocs,
+            *checkpoint_releases,
+            *reliq_wakeups,
+            *lq_searches,
+            *sq_searches,
+            *icache_accesses,
+            *dcache_accesses,
+            *l2_accesses,
+            *predictor_lookups,
+            *btb_lookups,
+            *ras_ops,
+        ];
+        let parts: [&[u64]; 6] = [
+            &head,
+            &bank_full_by_reg,
+            &middle,
+            rf_reads,
+            rf_writes,
+            &tail,
+        ];
+        let mut out = [0; SimStats::COUNTERS];
+        for (slot, value) in out.iter_mut().zip(parts.into_iter().flatten()) {
+            *slot = *value;
+        }
+        out
+    }
+
+    /// The inverse of [`SimStats::counters`]. `bank_full` keeps only the
+    /// registers with a nonzero count, as the simulator records them.
+    pub fn from_counters(counters: &[u64; SimStats::COUNTERS]) -> SimStats {
+        let mut values = counters.iter().copied();
+        let mut next = || {
+            values
+                .next()
+                .expect("the inverse reads exactly SimStats::COUNTERS counters")
+        };
+        // Struct-literal fields are evaluated in the order written, which
+        // is the order of the walk above.
+        SimStats {
+            cycles: next(),
+            committed: next(),
+            executed: ExecutedBreakdown {
+                correct_path: next(),
+                correct_path_reexecuted: next(),
+                wrong_path: next(),
+            },
+            branches: next(),
+            mispredictions: next(),
+            recoveries: next(),
+            imprecise_recoveries: next(),
+            checkpoints_allocated: next(),
+            stalls: StallBreakdown {
+                iq_full: next(),
+                rob_full: next(),
+                lq_full: next(),
+                sq_full: next(),
+                regs_full: next(),
+                checkpoints_full: next(),
+                bank_full: (0..NUM_LOGICAL_REGS)
+                    .filter_map(|flat| {
+                        let count = next();
+                        (count > 0).then(|| (ArchReg::from_flat_index(flat), count))
+                    })
+                    .collect(),
+                same_reg_limit: next(),
+                frontend_empty: next(),
+            },
+            port_conflicts: next(),
+            store_forwards: next(),
+            dcache_misses: next(),
+            watchdog_breaks: next(),
+            activity: Box::new(ActivityCounters {
+                rf_reads: std::array::from_fn(|_| next()),
+                rf_writes: std::array::from_fn(|_| next()),
+                rename_lookups: next(),
+                sct_lookups: next(),
+                lcs_propagations: next(),
+                checkpoint_allocs: next(),
+                checkpoint_releases: next(),
+                reliq_wakeups: next(),
+                lq_searches: next(),
+                sq_searches: next(),
+                icache_accesses: next(),
+                dcache_accesses: next(),
+                l2_accesses: next(),
+                predictor_lookups: next(),
+                btb_lookups: next(),
+                ras_ops: next(),
+            }),
+        }
+    }
+
+    /// Applies `op` to each pair of counters of `self` and `other`.
+    fn zip_counters(&self, other: &SimStats, op: impl Fn(u64, u64) -> u64) -> SimStats {
+        let mut counters = self.counters();
+        for (mine, theirs) in counters.iter_mut().zip(other.counters()) {
+            *mine = op(*mine, theirs);
+        }
+        SimStats::from_counters(&counters)
+    }
+
+    /// Adds every counter of `other` into `self` (the `bank_full` maps are
+    /// merged per register). Used by the sampled-simulation aggregator to
+    /// fold per-interval statistics into one whole-run summary.
+    pub fn accumulate(&mut self, other: &SimStats) {
+        *self = self.zip_counters(other, |mine, theirs| mine + theirs);
     }
 
     /// The counter-wise difference `self − prefix`, for measuring a window
@@ -418,88 +458,7 @@ impl SimStats {
     /// simulation, so saturating subtraction is exact when `prefix` really
     /// is an earlier snapshot of the same run.
     pub fn subtracting(&self, prefix: &SimStats) -> SimStats {
-        // Destructured without a rest pattern so a new counter is a compile
-        // error until it is subtracted here (see `accumulate`).
-        let SimStats {
-            cycles,
-            committed,
-            executed:
-                ExecutedBreakdown {
-                    correct_path,
-                    correct_path_reexecuted,
-                    wrong_path,
-                },
-            branches,
-            mispredictions,
-            recoveries,
-            imprecise_recoveries,
-            checkpoints_allocated,
-            stalls:
-                StallBreakdown {
-                    iq_full,
-                    rob_full,
-                    lq_full,
-                    sq_full,
-                    regs_full,
-                    checkpoints_full,
-                    bank_full: prefix_bank_full,
-                    same_reg_limit,
-                    frontend_empty,
-                },
-            port_conflicts,
-            store_forwards,
-            dcache_misses,
-            watchdog_breaks,
-            activity,
-        } = prefix;
-        let mut bank_full = HashMap::new();
-        for (reg, count) in &self.stalls.bank_full {
-            let before = prefix_bank_full.get(reg).copied().unwrap_or(0);
-            let delta = count.saturating_sub(before);
-            if delta > 0 {
-                bank_full.insert(*reg, delta);
-            }
-        }
-        SimStats {
-            cycles: self.cycles.saturating_sub(*cycles),
-            committed: self.committed.saturating_sub(*committed),
-            executed: ExecutedBreakdown {
-                correct_path: self.executed.correct_path.saturating_sub(*correct_path),
-                correct_path_reexecuted: self
-                    .executed
-                    .correct_path_reexecuted
-                    .saturating_sub(*correct_path_reexecuted),
-                wrong_path: self.executed.wrong_path.saturating_sub(*wrong_path),
-            },
-            branches: self.branches.saturating_sub(*branches),
-            mispredictions: self.mispredictions.saturating_sub(*mispredictions),
-            recoveries: self.recoveries.saturating_sub(*recoveries),
-            imprecise_recoveries: self
-                .imprecise_recoveries
-                .saturating_sub(*imprecise_recoveries),
-            checkpoints_allocated: self
-                .checkpoints_allocated
-                .saturating_sub(*checkpoints_allocated),
-            stalls: StallBreakdown {
-                iq_full: self.stalls.iq_full.saturating_sub(*iq_full),
-                rob_full: self.stalls.rob_full.saturating_sub(*rob_full),
-                lq_full: self.stalls.lq_full.saturating_sub(*lq_full),
-                sq_full: self.stalls.sq_full.saturating_sub(*sq_full),
-                regs_full: self.stalls.regs_full.saturating_sub(*regs_full),
-                checkpoints_full: self
-                    .stalls
-                    .checkpoints_full
-                    .saturating_sub(*checkpoints_full),
-                bank_full,
-                same_reg_limit: self.stalls.same_reg_limit.saturating_sub(*same_reg_limit),
-                frontend_empty: self.stalls.frontend_empty.saturating_sub(*frontend_empty),
-            },
-            port_conflicts: self.port_conflicts.saturating_sub(*port_conflicts),
-            store_forwards: self.store_forwards.saturating_sub(*store_forwards),
-            dcache_misses: self.dcache_misses.saturating_sub(*dcache_misses),
-            watchdog_breaks: self.watchdog_breaks.saturating_sub(*watchdog_breaks),
-            activity: Box::new(self.activity.subtracting(activity)),
-        }
+        self.zip_counters(prefix, u64::saturating_sub)
     }
 
     /// A canonical, order-stable text rendering of every historical counter
@@ -616,30 +575,50 @@ mod tests {
 
     #[test]
     fn activity_counters_accumulate_and_subtract_exactly() {
-        let mut prefix = ActivityCounters::default();
-        prefix.rf_reads[3] = 10;
-        prefix.rf_writes[63] = 4;
-        prefix.rename_lookups = 7;
-        prefix.sct_lookups = 21;
-        prefix.icache_accesses = 5;
-        let mut window = ActivityCounters::default();
-        window.rf_reads[3] = 2;
-        window.rf_reads[40] = 9;
-        window.lcs_propagations = 11;
-        window.reliq_wakeups = 3;
-        window.l2_accesses = 1;
+        let mut prefix = SimStats::default();
+        prefix.activity.rf_reads[3] = 10;
+        prefix.activity.rf_writes[63] = 4;
+        prefix.activity.rename_lookups = 7;
+        prefix.activity.sct_lookups = 21;
+        prefix.activity.icache_accesses = 5;
+        let mut window = SimStats::default();
+        window.activity.rf_reads[3] = 2;
+        window.activity.rf_reads[40] = 9;
+        window.activity.lcs_propagations = 11;
+        window.activity.reliq_wakeups = 3;
+        window.activity.l2_accesses = 1;
         let mut full = prefix.clone();
         full.accumulate(&window);
-        assert_eq!(full.rf_reads[3], 12);
-        assert_eq!(full.rf_reads[40], 9);
-        assert_eq!(full.rf_reads_total(), 21);
-        assert_eq!(full.rf_writes_total(), 4);
-        assert_eq!(full.sct_lookups, 21);
-        assert_eq!(full.lcs_propagations, 11);
+        let activity = &full.activity;
+        assert_eq!(activity.rf_reads[3], 12);
+        assert_eq!(activity.rf_reads[40], 9);
+        assert_eq!(activity.rf_reads_total(), 21);
+        assert_eq!(activity.rf_writes_total(), 4);
+        assert_eq!(activity.sct_lookups, 21);
+        assert_eq!(activity.lcs_propagations, 11);
         // subtracting recovers the window exactly (the sampled-window
         // identity every resumed measurement relies on).
         assert_eq!(full.subtracting(&prefix), window);
         assert_eq!(full.subtracting(&window), prefix);
+    }
+
+    #[test]
+    fn counter_walk_and_its_inverse_agree() {
+        // Distinct nonzero values in every slot, `bank_full` included: a
+        // counter read back from the wrong position cannot go unnoticed.
+        let counters: [u64; SimStats::COUNTERS] = std::array::from_fn(|i| i as u64 + 1);
+        let stats = SimStats::from_counters(&counters);
+        assert_eq!(stats.counters(), counters);
+        assert_eq!(stats.stalls.bank_full.len(), NUM_LOGICAL_REGS);
+        assert_eq!(stats.cycles, 1);
+        assert_eq!(stats.activity.ras_ops, SimStats::COUNTERS as u64);
+        let first_bank = SimStats::BANK_FULL_COUNTERS.start as u64 + 1;
+        assert_eq!(
+            stats.stalls.bank_full[&ArchReg::from_flat_index(0)],
+            first_bank
+        );
+        assert_eq!(ActivityCounters::default(), *SimStats::default().activity);
+        assert!(SimStats::default().counters().iter().all(|c| *c == 0));
     }
 
     #[test]

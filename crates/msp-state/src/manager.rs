@@ -441,7 +441,7 @@ impl MspStateManager {
         // First apply the per-cycle admission limits (width, same-register).
         let dests: Vec<Option<ArchReg>> = group.iter().map(|r| r.dest()).collect();
         let admissible = self.rename_unit.admissible_prefix(&dests);
-        let admission_stall = if admissible < group.len() {
+        let mut stall = if admissible < group.len() {
             // Identify which limit truncated the group for reporting.
             let reg = dests[admissible];
             Some(match reg {
@@ -458,45 +458,21 @@ impl MspStateManager {
         };
 
         let mut renamed = Vec::with_capacity(admissible);
-        let mut stall = admission_stall;
+        // Each admitted instruction renames like a group of one; its source
+        // lookups observe the renamings performed earlier in this group.
         for request in &group[..admissible] {
-            // Resolve sources against the *current* mappings, which already
-            // include renamings performed earlier in this same group.
-            let sources: Vec<SourceMapping> =
-                request.sources().map(|r| self.source_mapping(r)).collect();
-
-            let dest = match request.dest() {
-                Some(reg) => {
-                    let bank = reg.flat_index();
-                    if self.scts[bank].is_full() {
-                        self.scts[bank].record_full_stall();
-                        self.stats.bank_full_stalls += 1;
-                        stall = Some(RenameError::BankFull(reg));
-                        break;
-                    }
-                    let (state, _reset) = self.counter.allocate();
-                    let slot = self.scts[bank]
-                        .allocate(state)
-                        .expect("bank fullness checked above");
-                    self.stats.states_allocated += 1;
-                    self.mark_bank_dirty(bank);
-                    let phys = PhysReg::new(bank, slot);
-                    self.last_allocated = phys;
-                    Some(RenamedDest {
-                        phys,
-                        state_id: state,
-                    })
+            match self.rename_one(request) {
+                Ok(inst) => renamed.push(RenamedInst {
+                    state_id: inst.state_id,
+                    dest: inst.dest,
+                    sources: inst.sources.into_iter().flatten().collect(),
+                    anchor: inst.anchor,
+                }),
+                Err(e) => {
+                    stall = Some(e);
+                    break;
                 }
-                None => None,
-            };
-
-            self.stats.instructions_renamed += 1;
-            renamed.push(RenamedInst {
-                state_id: self.counter.current(),
-                dest,
-                sources,
-                anchor: self.last_allocated,
-            });
+            }
         }
 
         if renamed.is_empty() {
@@ -507,10 +483,10 @@ impl MspStateManager {
     }
 
     /// Renames a single instruction without heap allocation — the per-cycle
-    /// hot path of the timing simulator. Behaves exactly like
-    /// `rename_group(&[request])` observed through `renamed[0]`: a
-    /// single-instruction group can never be truncated by the per-cycle
-    /// width or same-register admission limits, so only a full bank stalls.
+    /// hot path of the timing simulator, and the allocation step of
+    /// [`MspStateManager::rename_group`]. A single instruction is never
+    /// truncated by the per-cycle width or same-register admission limits,
+    /// so only a full bank stalls.
     ///
     /// # Errors
     ///

@@ -3,11 +3,12 @@
 //! The MSP renames up to four destination registers per cycle, of which at
 //! most two may target the *same* logical register: the paper's analysis
 //! showed that two same-register renamings per cycle are sufficient, while
-//! restricting to one costs about 5% IPC (reproduced by the
-//! `ablation_rename` bench). [`RenameUnit`] decides how many instructions of
+//! restricting to one costs about 5% IPC (reproduced by
+//! `msp-lab ablate-rename`). [`RenameUnit`] decides how many instructions of
 //! a decode group can be renamed this cycle under those constraints; the
-//! actual SCT allocation is performed by
-//! [`crate::MspStateManager::rename_group`].
+//! SCT allocation itself is [`crate::MspStateManager::rename_one`], which
+//! the timing simulator calls per instruction and
+//! [`crate::MspStateManager::rename_group`] calls for each admitted one.
 
 use msp_isa::ArchReg;
 
